@@ -6,15 +6,17 @@
 // (per-block decompression) — at 1/2/4/8 threads over a multi-layer
 // image family, and checks the determinism contract: every thread count
 // must produce byte-identical outputs (same squash digest, same layer
-// digests, same CAS counters) and identical *simulated* time.
+// digests, same CAS counters) and identical *simulated* time. One
+// untimed sequential pass warms the process up first and serves as
+// the byte-identity reference.
 //
-// A second section races the pool's two parallel_for schedulers
-// (DESIGN.md §12) on a skewed layer family — one layer 64× the size of
-// its siblings, decomposed into per-block digest items, so one
-// participant's static partition holds almost all the work. The
-// work-stealing scheduler redistributes it (steal count and per-worker
-// busy fractions land in the JSON); the shared-index scheduler pays a
-// per-iteration atomic + dispatch instead. Both must match the
+// A second section races the pool's work-stealing parallel_for
+// (DESIGN.md §12) against a shared-index baseline on a skewed layer
+// family — one layer 64× the size of its siblings, decomposed into
+// per-block digest items, so one participant's static partition holds
+// almost all the work. Work stealing redistributes it (steal count and
+// per-worker busy fractions land in the JSON); the shared-index loop
+// pays a per-iteration atomic + dispatch instead. Both must match the
 // sequential checksum bit-for-bit.
 //
 // Unlike the google-benchmark binaries (one per paper artifact), this is
@@ -23,12 +25,17 @@
 //   bench_parallel_pipeline [--quick] [--reps N]
 //                           [--json PATH]   # write BENCH_parallel_pipeline.json
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <functional>
+#include <future>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -156,6 +163,34 @@ RunOutput run_pipeline(Workload& w, unsigned threads) {
 // Skewed scheduler race: stealing vs shared-index on one 64× layer.
 // --------------------------------------------------------------------------
 
+/// The shared-index baseline: the caller and every pool worker race on
+/// one atomic index, one fetch_add per iteration. The index lives on the
+/// heap, off the cache lines of the caller's hot stack locals.
+void shared_index_for(util::ThreadPool& pool, std::size_t n,
+                      const std::function<void(std::size_t)>& fn) {
+  auto next = std::make_shared<std::atomic<std::size_t>>(0);
+  auto run = [next, n, &fn] {
+    for (;;) {
+      const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      fn(i);
+    }
+  };
+  const std::size_t helpers = std::min<std::size_t>(pool.size(), n);
+  std::vector<std::future<void>> futs;
+  futs.reserve(helpers);
+  for (std::size_t i = 0; i < helpers; ++i) futs.push_back(pool.submit(run));
+  std::exception_ptr error;
+  try {
+    run();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (auto& f : futs) f.wait();  // the helpers hold `fn` by reference
+  if (error) std::rethrow_exception(error);
+  for (auto& f : futs) f.get();
+}
+
 std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n, std::uint64_t h) {
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
@@ -212,30 +247,33 @@ struct SkewedResult {
   double wall_ms = 0;
   std::uint64_t checksum = 0;
   std::uint64_t steals = 0;
-  std::uint64_t remote_steals = 0;
   std::uint64_t chunks = 0;
   std::vector<double> busy_frac;  // per participant (workers + caller)
 };
 
 /// Digests every block and folds the per-block digests in index order,
-/// so the checksum is a pure function of the bytes — any scheduler (or
+/// so the checksum is a pure function of the bytes — either scheduler (or
 /// no pool at all, threads == 0) must produce the same value.
 SkewedResult run_skewed(const SkewedWorkload& w, unsigned threads,
-                        util::PoolSched sched, int reps) {
+                        bool shared_index, int reps) {
   std::unique_ptr<util::ThreadPool> pool;
-  if (threads > 0)
-    pool = std::make_unique<util::ThreadPool>(threads, 0, sched);
+  if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
 
   const std::size_t n = w.blocks.size();
   std::vector<std::uint64_t> per_block(n);
+  const std::function<void(std::size_t)> digest_block = [&](std::size_t i) {
+    per_block[i] =
+        fnv1a(w.blocks[i].data(), w.blocks[i].size(), 1469598103934665603ull);
+  };
   SkewedResult out;
   for (int r = 0; r < reps; ++r) {
     if (pool) pool->reset_steal_stats();
     const auto t0 = std::chrono::steady_clock::now();
-    util::parallel_for(pool.get(), n, [&](std::size_t i) {
-      per_block[i] =
-          fnv1a(w.blocks[i].data(), w.blocks[i].size(), 1469598103934665603ull);
-    });
+    if (shared_index && pool) {
+      shared_index_for(*pool, n, digest_block);
+    } else {
+      util::parallel_for(pool.get(), n, digest_block);
+    }
     const auto t1 = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
@@ -256,7 +294,6 @@ SkewedResult run_skewed(const SkewedWorkload& w, unsigned threads,
       if (pool) {
         const auto stats = pool->steal_stats();
         out.steals = stats.steals;
-        out.remote_steals = stats.remote_steals;
         out.chunks = stats.chunks;
         out.busy_frac.clear();
         const double wall_ns = ms * 1e6;
@@ -292,19 +329,20 @@ int main(int argc, char** argv) {
 
   LogSink::instance().set_print(false);
   auto workload = make_workload(quick);
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
   std::printf("workload: %zu layers, %.1f MiB logical, hardware threads: %u\n",
               workload->num_layers,
               static_cast<double>(workload->logical_bytes) / (1 << 20),
-              util::ThreadPool::default_threads());
+              hardware_threads);
 
+  // Untimed warm-up, so the first timed arm does not absorb cold start.
+  const RunOutput reference = run_pipeline(*workload, 0);
   const std::vector<unsigned> configs = {0, 1, 2, 4, 8};
   std::vector<double> best_ms(configs.size());
-  RunOutput reference;
   for (std::size_t c = 0; c < configs.size(); ++c) {
     double best = 0;
     for (int r = 0; r < reps; ++r) {
       RunOutput out = run_pipeline(*workload, configs[c]);
-      if (r == 0 && c == 0) reference = out;
       // Determinism contract: byte-identical outputs at every thread
       // count, and simulated time never drifts with wall-clock
       // parallelism.
@@ -336,14 +374,12 @@ int main(int argc, char** argv) {
   const auto skewed = make_skewed(quick);
   const int skew_reps = std::max(reps, 3);
   const unsigned skew_threads = 8;
-  const SkewedResult seq = run_skewed(skewed, 0, util::PoolSched::kWorkStealing,
-                                      skew_reps);
+  const SkewedResult seq =
+      run_skewed(skewed, 0, /*shared_index=*/false, skew_reps);
   const SkewedResult steal =
-      run_skewed(skewed, skew_threads, util::PoolSched::kWorkStealing,
-                 skew_reps);
+      run_skewed(skewed, skew_threads, /*shared_index=*/false, skew_reps);
   const SkewedResult shared =
-      run_skewed(skewed, skew_threads, util::PoolSched::kSharedIndex,
-                 skew_reps);
+      run_skewed(skewed, skew_threads, /*shared_index=*/true, skew_reps);
   if (steal.checksum != seq.checksum || shared.checksum != seq.checksum) {
     std::cerr << "DETERMINISM VIOLATION: skewed scheduler outputs diverge "
                  "from sequential\n";
@@ -372,7 +408,8 @@ int main(int argc, char** argv) {
     js.field("bench", "parallel_pipeline")
         .field("quick", quick)
         .field("reps", reps)
-        .field("hardware_concurrency", util::ThreadPool::default_threads())
+        .field("hardware_concurrency", hardware_threads)
+        .field("warmup_passes", 1)
         .begin_object("workload")
         .field("layers", workload->num_layers)
         .field("logical_bytes", workload->logical_bytes)
@@ -396,7 +433,6 @@ int main(int argc, char** argv) {
         .field("shared_wall_ms", shared.wall_ms)
         .field("steal_speedup_vs_shared", steal_speedup)
         .field("steals", steal.steals)
-        .field("remote_steals", steal.remote_steals)
         .field("chunks", steal.chunks)
         .field("deterministic", true);
     js.begin_array("busy_fraction");

@@ -91,17 +91,12 @@ struct AuditInput {
   /// Size of the mounted image's hot index/metadata region; 0 = unknown.
   std::uint64_t image_index_bytes = 0;
 
-  /// Concurrency shape of the run — drives the CONC rules. 0 means
-  /// "not configured / unknown", which disables the rule gated on it.
+  /// Concurrency shape of the run — drives CONC002. 0 means "not
+  /// configured / unknown", which disables the rule.
   /// Worker threads in the pull/unpack ThreadPool (HPCC_THREADS).
   unsigned pool_threads = 0;
-  /// BlobStore mutex shard count (HPCC_BLOB_SHARDS).
-  std::size_t blob_shards = 0;
   /// Queued-prefetch depth the consumer drives through the data path.
   unsigned prefetch_depth = 0;
-  /// Modeled NUMA node count (HPCC_NUMA_NODES). 0/1 = flat machine,
-  /// which disables the NUMA-alignment rule CONC003.
-  unsigned numa_nodes = 0;
 
   /// The observability configuration this run will install — drives the
   /// obs rules OBS001 (tracing without an export path). nullopt = obs

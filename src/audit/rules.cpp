@@ -841,51 +841,6 @@ void adapt002(const AuditInput& in, std::vector<Finding>& out) {
   out.push_back(std::move(f));
 }
 
-void conc001(const AuditInput& in, std::vector<Finding>& out) {
-  if (in.pool_threads < 2 || in.blob_shards == 0) return;
-  if (in.blob_shards >= in.pool_threads) return;
-  Finding f;
-  f.rule = "CONC001";
-  f.object = "blobstore shards";
-  f.message =
-      "the blob store is sharded " + std::to_string(in.blob_shards) +
-      " ways but the pull pool runs " + std::to_string(in.pool_threads) +
-      " workers: with fewer mutex shards than threads, parallel layer "
-      "verification serializes on shard locks and the CPU/IO trade the "
-      "survey credits to parallel decompression (§3.2) is lost to "
-      "contention";
-  f.paper_ref = "§3.2 / §7";
-  f.fix_hint = "raise HPCC_BLOB_SHARDS to at least the worker count";
-  f.fix = [](AuditInput& in2) { in2.blob_shards = in2.pool_threads; };
-  out.push_back(std::move(f));
-}
-
-void conc003(const AuditInput& in, std::vector<Finding>& out) {
-  if (in.numa_nodes < 2 || in.blob_shards == 0) return;
-  if (in.blob_shards % in.numa_nodes == 0) return;
-  Finding f;
-  f.rule = "CONC003";
-  f.object = "blobstore shards";
-  f.message =
-      "the blob store is sharded " + std::to_string(in.blob_shards) +
-      " ways across " + std::to_string(in.numa_nodes) +
-      " modeled NUMA nodes: a shard count that is not a multiple of the "
-      "node count homes unequal shard blocks per node, so the node with "
-      "fewer shards sees disproportionate remote traffic "
-      "(blob.numa.remote_hits) and the NUMA-keyed lock spreading the "
-      "sharding exists for (§3.2's CPU/IO trade under parallel "
-      "decompression) is skewed";
-  f.paper_ref = "§3.2 / §7";
-  f.fix_hint = "round HPCC_BLOB_SHARDS up to the next multiple of "
-               "HPCC_NUMA_NODES";
-  f.fix = [](AuditInput& in2) {
-    if (in2.numa_nodes < 2 || in2.blob_shards == 0) return;
-    const std::size_t n = in2.numa_nodes;
-    in2.blob_shards = (in2.blob_shards + n - 1) / n * n;
-  };
-  out.push_back(std::move(f));
-}
-
 void conc002(const AuditInput& in, std::vector<Finding>& out) {
   if (in.prefetch_depth == 0 || in.pool_threads != 1) return;
   Finding f;
@@ -1001,15 +956,9 @@ RuleRegistry RuleRegistry::builtin() {
   add("ADAPT002", Severity::kError,
       "adaptive plan prefetches to nonexistent node-local storage",
       "§4.1.4", adapt002);
-  add("CONC001", Severity::kWarn,
-      "blob store sharded below the pull pool's worker count", "§3.2 / §7",
-      conc001);
   add("CONC002", Severity::kWarn,
       "prefetch configured over a single-thread pool", "§4.1.4 / §7",
       conc002);
-  add("CONC003", Severity::kWarn,
-      "blob shard count not a multiple of the NUMA node count",
-      "§3.2 / §7", conc003);
   return reg;
 }
 

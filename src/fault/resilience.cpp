@@ -140,7 +140,7 @@ void CircuitBreaker::on_success(SimTime now, SimDuration latency) {
     if (++half_open_successes_ >= cfg_.probe_successes)
       transition(BreakerState::kClosed, now);
   }
-  publish(now);
+  publish_health();
 }
 
 void CircuitBreaker::on_failure(SimTime now) {
@@ -153,7 +153,7 @@ void CircuitBreaker::on_failure(SimTime now) {
              ++consecutive_failures_ >= cfg_.failure_threshold) {
     transition(BreakerState::kOpen, now);
   }
-  publish(now);
+  publish_health();
 }
 
 BreakerState CircuitBreaker::state(SimTime now) const {
@@ -178,31 +178,15 @@ void CircuitBreaker::transition(BreakerState next, SimTime now) {
       half_open_successes_ = 0;
       break;
   }
-  publish(now);
+  publish_health();
 }
 
 void CircuitBreaker::publish_health() const {
   if (!obs::metrics_enabled()) return;
-  const std::string suffix = endpoint_.empty() ? "?" : endpoint_;
   obs::metrics()
-      .gauge("fault.breaker.state:" + suffix)
+      .gauge("fault.breaker.state:" + endpoint_)
       .set(static_cast<std::int64_t>(state_));
-  health_.publish("fault.health." + suffix);
-}
-
-void CircuitBreaker::publish(SimTime now) {
-  (void)now;
-  if (!obs::metrics_enabled()) return;
-  const std::string suffix = endpoint_.empty() ? "?" : endpoint_;
-  obs::metrics()
-      .gauge("fault.breaker.state:" + suffix)
-      .set(static_cast<std::int64_t>(state_));
-  obs::metrics()
-      .gauge("fault.health.error_bp:" + suffix)
-      .set(static_cast<std::int64_t>(health_.error_rate() * 10000.0));
-  obs::metrics()
-      .gauge("fault.health.latency_us:" + suffix)
-      .set(health_.latency_ewma());
+  health_.publish("fault.health." + endpoint_);
 }
 
 // ---------------------------------------------------------------------------

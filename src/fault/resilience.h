@@ -138,7 +138,7 @@ struct BreakerConfig {
 /// the deterministic single-threaded timed plane, like FaultInjector.
 class CircuitBreaker {
  public:
-  CircuitBreaker() : CircuitBreaker("", BreakerConfig{}) {}
+  /// `endpoint` names the breaker's gauges and seeds its probe stream.
   CircuitBreaker(std::string endpoint, BreakerConfig cfg);
 
   bool enabled() const { return cfg_.enabled; }
@@ -165,9 +165,10 @@ class CircuitBreaker {
   BreakerState state() const { return state_; }
 
   const HealthTracker& health() const { return health_; }
-  /// On-demand re-publish of the breaker's state + health gauges (the
-  /// transition-driven publish only fires when state changes; a control
-  /// epoch wants fresh EWMAs even on a quiet breaker).
+  /// Publishes the breaker's state gauge and its health gauges under
+  /// fault.health.<endpoint>. An enabled breaker calls this after every
+  /// outcome and transition; a control epoch calls it on demand, since
+  /// it wants fresh EWMAs from quiet and disabled breakers too.
   void publish_health() const;
   std::uint64_t rejected() const { return rejected_; }
   std::uint64_t trips() const { return trips_; }
@@ -175,7 +176,6 @@ class CircuitBreaker {
 
  private:
   void transition(BreakerState next, SimTime now);
-  void publish(SimTime now);
 
   std::string endpoint_;
   BreakerConfig cfg_;

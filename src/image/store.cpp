@@ -1,50 +1,18 @@
 #include "image/store.h"
 
-#include <algorithm>
-
 #include "dcheck/dcheck.h"
-#include "obs/obs.h"
-#include "util/env.h"
 #include "util/thread_pool.h"
 
 namespace hpcc::image {
 
-std::size_t BlobStore::resolve_shards(std::size_t requested,
-                                      const util::NumaTopology& topo) {
-  if (requested == 0) {
-    // Env override, else 16 shards per modeled NUMA node so each node's
-    // workers spread across a private block of locks (audit rule
-    // CONC003 checks configured stores keep shards % nodes == 0).
-    const auto env = util::env_uint("HPCC_BLOB_SHARDS", 0,
-                                    /*min=*/1, /*max=*/1024);
-    if (env > 0) return static_cast<std::size_t>(env);
-    return std::clamp<std::size_t>(std::size_t{16} * topo.nodes, 1, 1024);
-  }
-  return std::clamp<std::size_t>(requested, 1, 1024);
-}
-
-BlobStore::BlobStore(std::size_t shards) : topo_(util::NumaTopology::detect()) {
-  const std::size_t count = resolve_shards(shards, topo_);
-  shards_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+BlobStore::BlobStore() {
+  shards_.reserve(kNumShards);
+  for (std::size_t i = 0; i < kNumShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
 
-const BlobStore::Shard& BlobStore::shard_for(
-    const crypto::Digest& digest) const {
-  const std::size_t idx = shard_index_for(digest);
-  if (topo_.nodes > 1 &&
-      node_of_shard(idx) != util::current_numa_node()) {
-    // Telemetry only: the digest always picks the same home shard, so
-    // remote hits never change what is stored — just what we count.
-    numa_remote_hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("blob.numa.remote_hits");
-  }
-  return *shards_[idx];
-}
-
-BlobStore::BlobStore(const BlobStore& other) : BlobStore(other.num_shards()) {
+BlobStore::BlobStore(const BlobStore& other) : BlobStore() {
   *this = other;
 }
 
@@ -52,14 +20,6 @@ BlobStore::BlobStore(BlobStore&& other) noexcept { *this = std::move(other); }
 
 BlobStore& BlobStore::operator=(const BlobStore& other) {
   if (this == &other) return *this;
-  if (shards_.size() != other.shards_.size()) {
-    // Rebuild to match: shard count is part of the addressing scheme.
-    shards_.clear();
-    for (std::size_t i = 0; i < other.shards_.size(); ++i) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
-  }
-  topo_ = other.topo_;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     dcheck::AnnotatedLock lk(other.shards_[i]->mu, "blobstore.shard");
     if (dcheck::enabled())
@@ -69,7 +29,6 @@ BlobStore& BlobStore::operator=(const BlobStore& other) {
   stored_bytes_.store(other.stored_bytes_.load());
   logical_bytes_.store(other.logical_bytes_.load());
   dedup_hits_.store(other.dedup_hits_.load());
-  numa_remote_hits_.store(other.numa_remote_hits_.load());
   return *this;
 }
 
@@ -77,14 +36,12 @@ BlobStore& BlobStore::operator=(BlobStore&& other) noexcept {
   if (this == &other) return *this;
   shards_ = std::move(other.shards_);
   other.shards_.clear();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
+  for (std::size_t i = 0; i < kNumShards; ++i) {
     other.shards_.push_back(std::make_unique<Shard>());
   }
-  topo_ = other.topo_;
   stored_bytes_.store(other.stored_bytes_.exchange(0));
   logical_bytes_.store(other.logical_bytes_.exchange(0));
   dedup_hits_.store(other.dedup_hits_.exchange(0));
-  numa_remote_hits_.store(other.numa_remote_hits_.exchange(0));
   return *this;
 }
 
@@ -164,19 +121,12 @@ Result<Unit> BlobStore::remove(const crypto::Digest& digest) {
 }
 
 std::uint64_t BlobStore::num_blobs() const {
-  // Node-local shards first (the sum is order-independent, so this is
-  // pure lock-traffic shaping: a node's aggregate scans start on the
-  // block of shards homed with them).
-  const unsigned here = util::current_numa_node();
   std::uint64_t total = 0;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if ((node_of_shard(i) == here) != (pass == 0)) continue;
-      dcheck::AnnotatedLock lk(shards_[i]->mu, "blobstore.shard");
-      if (dcheck::enabled())
-        dcheck::access_read(&shards_[i]->blobs, "blobstore.shard.blobs");
-      total += shards_[i]->blobs.size();
-    }
+  for (const auto& shard : shards_) {
+    dcheck::AnnotatedLock lk(shard->mu, "blobstore.shard");
+    if (dcheck::enabled())
+      dcheck::access_read(&shard->blobs, "blobstore.shard.blobs");
+    total += shard->blobs.size();
   }
   return total;
 }

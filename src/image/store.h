@@ -16,18 +16,10 @@
 // time goes. Counters are exact under concurrency: stored/logical bytes
 // and dedup hits are updated under the owning shard's lock or
 // atomically, so a race of N identical puts stores the content once and
-// counts N-1 dedup hits, same as the sequential order would.
-//
-// Sharding is keyed to the modeled NUMA topology (util/numa.h,
-// DESIGN.md §12): the shard count defaults to 16 per modeled node
-// (HPCC_BLOB_SHARDS or the constructor arg override it), each shard is
-// homed on a node (contiguous blocks, shard s → node s*nodes/shards),
-// and an access from a thread whose modeled node differs from the
-// shard's home node counts as a remote hit (numa_remote_hits(), obs
-// counter "blob.numa.remote_hits"). The digest→shard mapping stays
-// purely content-derived, so placement — and therefore every output
-// byte — is independent of which thread touched the store first;
-// topology only shapes lock spreading and the remote-access telemetry.
+// counts N-1 dedup hits, same as the sequential order would. The
+// digest→shard mapping is purely content-derived, so placement — and
+// therefore every output byte — is independent of which thread touched
+// the store first.
 #pragma once
 
 #include <atomic>
@@ -42,7 +34,6 @@
 #include "crypto/digest.h"
 #include "image/manifest.h"
 #include "image/reference.h"
-#include "util/numa.h"
 #include "util/result.h"
 
 namespace hpcc::util {
@@ -53,10 +44,10 @@ namespace hpcc::image {
 
 class BlobStore {
  public:
-  /// `shards` = 0 resolves the count from the HPCC_BLOB_SHARDS
-  /// environment variable (clamped to [1, 1024]), defaulting to 16 per
-  /// modeled NUMA node (util::NumaTopology::detect()).
-  explicit BlobStore(std::size_t shards = 0);
+  /// Mutex shards the digest space is split across.
+  static constexpr std::size_t kNumShards = 16;
+
+  BlobStore();
   // Copy/move snapshot the source shard-by-shard. They lock the source's
   // shards but are not atomic across shards: don't copy a store while
   // another thread mutates it mid-copy and expect a point-in-time view.
@@ -106,48 +97,24 @@ class BlobStore {
   }
   std::size_t num_shards() const { return shards_.size(); }
 
-  const util::NumaTopology& topology() const { return topo_; }
-  /// Home node of shard `s`: contiguous blocks of shards per node.
-  unsigned node_of_shard(std::size_t s) const {
-    return topo_.nodes <= 1
-               ? 0
-               : static_cast<unsigned>(s * topo_.nodes / shards_.size());
-  }
-  /// Accesses (get/put/contains/remove) whose calling thread's modeled
-  /// NUMA node differed from the owning shard's home node.
-  std::uint64_t numa_remote_hits() const {
-    return numa_remote_hits_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// Constructor-arg > HPCC_BLOB_SHARDS env > 16 × modeled NUMA nodes;
-  /// clamped to [1, 1024].
-  static std::size_t resolve_shards(std::size_t requested,
-                                    const util::NumaTopology& topo);
-
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<crypto::Digest, Bytes> blobs;
   };
 
-  std::size_t shard_index_for(const crypto::Digest& digest) const {
-    return std::hash<crypto::Digest>{}(digest) % shards_.size();
-  }
-  /// Counts the access against the shard's home node, then returns it.
-  const Shard& shard_for(const crypto::Digest& digest) const;
-  Shard& shard_for(const crypto::Digest& digest) {
-    return const_cast<Shard&>(
-        static_cast<const BlobStore*>(this)->shard_for(digest));
+  // Shards sit behind pointers, so one const lookup serves the readers
+  // and the writers.
+  Shard& shard_for(const crypto::Digest& digest) const {
+    return *shards_[std::hash<crypto::Digest>{}(digest) % kNumShards];
   }
 
   // unique_ptr elements keep Shard (with its mutex) at a stable address
-  // while allowing a runtime-sized shard set.
+  // while a move hands the whole set over.
   std::vector<std::unique_ptr<Shard>> shards_;
-  util::NumaTopology topo_;
   std::atomic<std::uint64_t> stored_bytes_{0};
   std::atomic<std::uint64_t> logical_bytes_{0};
   std::atomic<std::uint64_t> dedup_hits_{0};
-  mutable std::atomic<std::uint64_t> numa_remote_hits_{0};
 };
 
 /// An engine-local image store: blobs + a tag table. Registries build

@@ -197,9 +197,9 @@ class RegistryClient {
 
   RoutePreference route_pref_ = RoutePreference::kProxyFirst;
   fault::HedgePolicy hedge_;
-  fault::CircuitBreaker breaker_primary_;
-  fault::CircuitBreaker breaker_secondary_;
-  fault::CircuitBreaker breaker_origin_;
+  fault::CircuitBreaker breaker_primary_{"proxy-primary", {}};
+  fault::CircuitBreaker breaker_secondary_{"proxy-secondary", {}};
+  fault::CircuitBreaker breaker_origin_{"origin", {}};
   std::uint64_t breaker_skips_ = 0;
   std::uint64_t hedges_launched_ = 0;
   std::uint64_t hedges_won_ = 0;

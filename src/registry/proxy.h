@@ -131,7 +131,7 @@ class PullThroughProxy {
   fault::FaultInjector* faults_ = nullptr;
   fault::RetryPolicy retry_ = fault::RetryPolicy::none();
   fault::RetryStats retry_stats_;
-  fault::CircuitBreaker origin_breaker_;
+  fault::CircuitBreaker origin_breaker_{host_ + "-origin", {}};
   fault::AdmissionController admission_;
   std::uint64_t breaker_sheds_ = 0;
   Rng jitter_rng_{0x5eedu};

@@ -16,8 +16,8 @@
 //    only the bump cursor of a block with zero live records.
 //
 // The arena is single-threaded by design: the DES kernel runs one
-// logical clock on one thread (the §13 NUMA-independence argument), so
-// no atomics or sharding appear here.
+// logical clock on one thread (DESIGN.md §13), so no atomics or
+// sharding appear here.
 #pragma once
 
 #include <cstddef>

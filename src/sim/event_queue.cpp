@@ -5,19 +5,11 @@
 #include <cstring>
 
 #include "obs/obs.h"
-#include "util/env.h"
 
 namespace hpcc::sim {
 
 namespace {
-
 constexpr SimDuration kDefaultBucketUs = 64;
-
-SimDuration bucket_width_from_env() {
-  return static_cast<SimDuration>(
-      util::env_uint("HPCC_SIM_BUCKET_US", kDefaultBucketUs, 1, 1000000000));
-}
-
 }  // namespace
 
 QueueImpl queue_impl_from_env() {
@@ -30,7 +22,7 @@ EventQueue::EventQueue() : EventQueue(queue_impl_from_env()) {}
 
 EventQueue::EventQueue(QueueImpl impl, SimDuration bucket_width)
     : impl_(impl),
-      width_(bucket_width > 0 ? bucket_width : bucket_width_from_env()) {
+      width_(bucket_width > 0 ? bucket_width : kDefaultBucketUs) {
   if (impl_ == QueueImpl::kCalendar) buckets_.resize(kNumBuckets);
 }
 

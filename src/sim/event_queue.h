@@ -13,7 +13,7 @@
 //
 //  * kCalendar (default) — a two-level calendar/timer wheel with
 //    arena-allocated events. Near-term events land in fixed-width
-//    buckets (HPCC_SIM_BUCKET_US microseconds each); far-future events
+//    buckets (64 simulated microseconds each); far-future events
 //    park in an overflow wheel keyed by window and refill the buckets
 //    in batches as the clock crosses window boundaries. Callbacks are
 //    placement-new'd into a bump-pointer EventArena — no per-event heap
@@ -62,11 +62,11 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Kernel and bucket width from the environment (HPCC_SIM_QUEUE,
-  /// HPCC_SIM_BUCKET_US).
+  /// Kernel from the environment (HPCC_SIM_QUEUE), default bucket width.
   EventQueue();
-  /// Explicit kernel; `bucket_width` 0 means env/default (calendar
-  /// only — the heap baseline has no buckets).
+  /// Explicit kernel; `bucket_width` 0 means the default 64 us (calendar
+  /// only — the heap baseline has no buckets). Event order is identical
+  /// at any width.
   explicit EventQueue(QueueImpl impl, SimDuration bucket_width = 0);
   ~EventQueue();
 

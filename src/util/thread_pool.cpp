@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
-#include <string_view>
 
 #include "obs/obs.h"
 #include "util/env.h"
@@ -36,23 +34,12 @@ unsigned ThreadPool::default_threads() {
   return hw == 0 ? 1 : hw;
 }
 
-PoolSched ThreadPool::default_sched() {
-  if (const char* p = std::getenv("HPCC_POOL_SCHED"); p && *p) {
-    if (std::string_view(p) == "shared") return PoolSched::kSharedIndex;
-  }
-  return PoolSched::kWorkStealing;
-}
-
 std::size_t ThreadPool::grain_for(std::size_t n, std::size_t participants) {
-  const std::uint64_t env = env_uint("HPCC_POOL_GRAIN", 0, 1, 1u << 20);
-  if (env > 0) return static_cast<std::size_t>(env);
   if (participants == 0) participants = 1;
   return std::clamp<std::size_t>(n / (participants * 8), 1, 4096);
 }
 
-ThreadPool::ThreadPool(unsigned threads, std::size_t queue_capacity,
-                       PoolSched sched)
-    : sched_(sched), topo_(NumaTopology::detect()) {
+ThreadPool::ThreadPool(unsigned threads, std::size_t queue_capacity) {
   if (threads == 0) threads = default_threads();
   capacity_ = queue_capacity == 0 ? 2 * threads + 16 : queue_capacity;
   workers_.reserve(threads);
@@ -90,9 +77,6 @@ void ThreadPool::enqueue(std::function<void()> task) {
 void ThreadPool::worker_loop(unsigned worker_index) {
   tls_in_pool_worker = true;
   tls_worker_index = worker_index;
-  // Workers are modeled as pinned to consecutive CPUs: worker i's shard
-  // accesses are attributed to NUMA node topo_.node_of_worker(i).
-  set_current_numa_node(topo_.node_of_worker(worker_index));
   for (;;) {
     std::function<void()> task;
     {
@@ -131,59 +115,6 @@ void ThreadPool::parallel_for(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(order ? (*order)[i] : i);
     return;
   }
-  if (sched_ == PoolSched::kSharedIndex) {
-    parallel_for_shared(n, fn, order.get());
-  } else {
-    parallel_for_steal(n, fn, order.get());
-  }
-}
-
-void ThreadPool::parallel_for_shared(
-    std::size_t n, const std::function<void(std::size_t)>& fn,
-    const std::vector<std::size_t>* order) {
-  // Work-sharing loop: helpers and the caller race on one atomic index.
-  // All helper futures are joined before returning, so capturing `fn`
-  // and `next` by reference/shared_ptr is safe. The spawn/begin/end/
-  // join annotations hand the race detector the happens-before edges
-  // this join structure really provides: caller-before-spawn orders
-  // into every task, every task orders into caller-after-join.
-  const std::uint64_t hb = dcheck::enabled() ? dcheck::hb_spawn() : 0;
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto run = [next, n, &fn, order, hb] {
-    if (hb != 0) dcheck::hb_task_begin(hb);
-    for (;;) {
-      const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      fn(order ? (*order)[i] : i);
-    }
-    if (hb != 0) dcheck::hb_task_end(hb);
-  };
-
-  const std::size_t helpers = std::min<std::size_t>(workers_.size(), n);
-  std::vector<std::future<void>> futs;
-  futs.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i) futs.push_back(submit(run));
-
-  std::exception_ptr first_error;
-  try {
-    run();
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (hb != 0) dcheck::hb_join(hb);
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::parallel_for_steal(
-    std::size_t n, const std::function<void(std::size_t)>& fn,
-    const std::vector<std::size_t>* order) {
   // One participant per worker plus the caller, each seeded with a
   // contiguous chunk of the index space in its own deque. Participants
   // pop grain-sized chunks locally and steal half-ranges from victims
@@ -213,21 +144,7 @@ void ThreadPool::parallel_for_steal(
   const std::uint64_t hb = dcheck::enabled() ? dcheck::hb_spawn() : 0;
   auto run = [ctx, &fn, order, hb, this](std::size_t p) {
     if (hb != 0) dcheck::hb_task_begin(hb);
-    const unsigned my_node = topo_.node_of_worker(static_cast<unsigned>(p));
-    // Deterministic victim scan: same modeled NUMA node first, each
-    // group walked cyclically starting just after p.
-    std::vector<std::size_t> victims;
-    victims.reserve(ctx->parts - 1);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t k = 1; k < ctx->parts; ++k) {
-        const std::size_t v = (p + k) % ctx->parts;
-        const bool local =
-            topo_.node_of_worker(static_cast<unsigned>(v)) == my_node;
-        if (local == (pass == 0)) victims.push_back(v);
-      }
-    }
-
-    std::uint64_t busy = 0, chunks = 0, steals = 0, remote = 0;
+    std::uint64_t busy = 0, chunks = 0, steals = 0;
     IndexRange r;
     for (;;) {
       if (ctx->deques[p].pop(ctx->grain, &r)) {
@@ -238,18 +155,14 @@ void ThreadPool::parallel_for_steal(
         ++chunks;
         continue;
       }
+      // Deterministic victim scan: cyclically, starting just after p.
       bool stole = false;
-      for (const std::size_t v : victims) {
-        if (ctx->deques[v].steal(&r)) {
-          ++steals;
-          if (topo_.node_of_worker(static_cast<unsigned>(v)) != my_node)
-            ++remote;
-          ctx->deques[p].push(r);
-          stole = true;
-          break;
-        }
+      for (std::size_t k = 1; k < ctx->parts && !stole; ++k) {
+        stole = ctx->deques[(p + k) % ctx->parts].steal(&r);
       }
       if (!stole) break;  // every deque drained; in-flight chunks finish
+      ++steals;
+      ctx->deques[p].push(r);
     }
 
     const unsigned slot = tls_worker_index == kCallerSlot
@@ -259,9 +172,7 @@ void ThreadPool::parallel_for_steal(
     chunks_.fetch_add(chunks, std::memory_order_relaxed);
     if (steals > 0) {
       steals_.fetch_add(steals, std::memory_order_relaxed);
-      remote_steals_.fetch_add(remote, std::memory_order_relaxed);
       obs::count("pool.steals", steals);
-      if (remote > 0) obs::count("pool.steals.remote", remote);
     }
     if (hb != 0) dcheck::hb_task_end(hb);
   };
@@ -291,7 +202,6 @@ void ThreadPool::parallel_for_steal(
 ThreadPool::StealStats ThreadPool::steal_stats() const {
   StealStats out;
   out.steals = steals_.load(std::memory_order_relaxed);
-  out.remote_steals = remote_steals_.load(std::memory_order_relaxed);
   out.chunks = chunks_.load(std::memory_order_relaxed);
   out.busy_ns.reserve(busy_ns_.size());
   for (const auto& b : busy_ns_)
@@ -301,7 +211,6 @@ ThreadPool::StealStats ThreadPool::steal_stats() const {
 
 void ThreadPool::reset_steal_stats() {
   steals_.store(0, std::memory_order_relaxed);
-  remote_steals_.store(0, std::memory_order_relaxed);
   chunks_.store(0, std::memory_order_relaxed);
   for (auto& b : busy_ns_) b->store(0, std::memory_order_relaxed);
 }

@@ -13,23 +13,17 @@
 // determinism contract; simulated SimTime costs never depend on the
 // pool).
 //
-// parallel_for runs under one of two schedulers (DESIGN.md §12):
+// parallel_for is a work-stealing scheduler (DESIGN.md §12): each
+// participant (every worker plus the caller) is seeded with a
+// contiguous chunk of the index space in a per-participant RangeDeque;
+// participants pop grain-sized chunks from their own deque and steal
+// half-ranges from victims when empty. Chunked dispatch amortizes the
+// per-iteration `std::function` call; stealing keeps every core busy
+// when one giant layer sits among small ones.
 //
-//  * kWorkStealing (default) — each participant (every worker plus the
-//    caller) is seeded with a contiguous chunk of the index space in a
-//    per-participant RangeDeque; participants pop grain-sized chunks
-//    from their own deque and steal half-ranges from victims (same
-//    modeled NUMA node first) when empty. Chunked dispatch amortizes
-//    the per-iteration `std::function` call; stealing keeps every core
-//    busy when one giant layer sits among small ones.
-//  * kSharedIndex — the original single shared atomic index, one
-//    fetch_add per iteration. Kept as the benchmark baseline
-//    (bench_parallel_pipeline's skewed workload races the two) and as
-//    an escape hatch (HPCC_POOL_SCHED=shared).
-//
-// Both schedulers execute fn(i) for every i exactly once, and callers
-// assemble results by index, so outputs are byte-identical regardless
-// of scheduler, steal schedule, or thread count.
+// fn(i) runs for every i exactly once, and callers assemble results by
+// index, so outputs are byte-identical regardless of steal schedule or
+// thread count.
 #pragma once
 
 #include <atomic>
@@ -45,30 +39,22 @@
 #include <vector>
 
 #include "dcheck/dcheck.h"
-#include "util/numa.h"
 
 namespace hpcc::util {
-
-/// parallel_for scheduling policy; see the header comment.
-enum class PoolSched { kWorkStealing, kSharedIndex };
 
 class ThreadPool {
  public:
   /// Starts `threads` workers (0 = default_threads()). `queue_capacity`
   /// bounds the task queue; submit() blocks when it is full
   /// (backpressure instead of unbounded memory growth). 0 picks a
-  /// capacity proportional to the worker count. `sched` selects the
-  /// parallel_for scheduler (default: HPCC_POOL_SCHED, else stealing).
-  explicit ThreadPool(unsigned threads = 0, std::size_t queue_capacity = 0,
-                      PoolSched sched = default_sched());
+  /// capacity proportional to the worker count.
+  explicit ThreadPool(unsigned threads = 0, std::size_t queue_capacity = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-  PoolSched sched() const { return sched_; }
-  const NumaTopology& topology() const { return topo_; }
 
   /// Submits a task; returns its future. Blocks while the queue is at
   /// capacity. Must not be called from a pool worker whose queue may be
@@ -101,9 +87,8 @@ class ThreadPool {
   /// Cumulative stealing-scheduler telemetry (wall-clock plane only —
   /// never feeds simulated time or functional outputs).
   struct StealStats {
-    std::uint64_t steals = 0;         ///< successful half-range steals
-    std::uint64_t remote_steals = 0;  ///< steals across modeled NUMA nodes
-    std::uint64_t chunks = 0;         ///< grain chunks executed
+    std::uint64_t steals = 0;  ///< successful half-range steals
+    std::uint64_t chunks = 0;  ///< grain chunks executed
     /// Per-slot busy nanoseconds: slot w < size() is worker w, the last
     /// slot is the participating caller.
     std::vector<std::uint64_t> busy_ns;
@@ -113,24 +98,15 @@ class ThreadPool {
 
   /// HPCC_THREADS env override, else std::thread::hardware_concurrency.
   static unsigned default_threads();
-  /// HPCC_POOL_SCHED=shared selects kSharedIndex; anything else (or
-  /// unset) selects kWorkStealing.
-  static PoolSched default_sched();
-  /// Chunk grain for the stealing scheduler: HPCC_POOL_GRAIN override,
-  /// else n / (participants * 8), clamped to [1, 4096] — small enough
-  /// that a straggler's remaining work stays stealable, large enough to
-  /// amortize dispatch over tiny per-block tasks.
+  /// Chunk grain for the stealing scheduler: n / (participants * 8),
+  /// clamped to [1, 4096] — small enough that a straggler's remaining
+  /// work stays stealable, large enough to amortize dispatch over tiny
+  /// per-block tasks.
   static std::size_t grain_for(std::size_t n, std::size_t participants);
 
  private:
   void enqueue(std::function<void()> task);
   void worker_loop(unsigned worker_index);
-  void parallel_for_shared(std::size_t n,
-                           const std::function<void(std::size_t)>& fn,
-                           const std::vector<std::size_t>* order);
-  void parallel_for_steal(std::size_t n,
-                          const std::function<void(std::size_t)>& fn,
-                          const std::vector<std::size_t>* order);
 
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
@@ -140,10 +116,7 @@ class ThreadPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 
-  PoolSched sched_ = PoolSched::kWorkStealing;
-  NumaTopology topo_;
   std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> remote_steals_{0};
   std::atomic<std::uint64_t> chunks_{0};
   /// size()+1 slots (workers + caller); unique_ptr keeps the atomics at
   /// stable addresses.

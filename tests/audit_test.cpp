@@ -629,25 +629,6 @@ TEST(AuditRules, Adapt002PrefetchWithoutNodeLocalStorage) {
 // CONC rules (concurrency shape)
 // ---------------------------------------------------------------------------
 
-TEST(AuditRules, Conc001ShardsBelowWorkerCount) {
-  AuditInput pos = clean_input();
-  pos.pool_threads = 8;
-  pos.blob_shards = 4;
-  AuditInput neg = clean_input();
-  neg.pool_threads = 8;
-  neg.blob_shards = 8;
-  expect_rule("CONC001", pos, neg);
-
-  // Unconfigured inputs (either knob 0) must not fire: the rule only
-  // judges runs that declared their concurrency shape.
-  AuditInput unconfigured = clean_input();
-  unconfigured.pool_threads = 8;
-  EXPECT_FALSE(audit(unconfigured).has("CONC001"));
-  unconfigured = clean_input();
-  unconfigured.blob_shards = 4;
-  EXPECT_FALSE(audit(unconfigured).has("CONC001"));
-}
-
 TEST(AuditRules, Conc002PrefetchOverSingleThreadPool) {
   AuditInput pos = clean_input();
   pos.pool_threads = 1;
@@ -664,34 +645,6 @@ TEST(AuditRules, Conc002PrefetchOverSingleThreadPool) {
   quiet = clean_input();
   quiet.prefetch_depth = 8;  // pool_threads == 0 (unconfigured)
   EXPECT_FALSE(audit(quiet).has("CONC002"));
-}
-
-TEST(AuditRules, Conc003ShardCountMisalignedWithNumaNodes) {
-  AuditInput pos = clean_input();
-  pos.numa_nodes = 3;
-  pos.blob_shards = 32;  // 32 % 3 != 0 — unequal shard blocks per node
-  AuditInput neg = clean_input();
-  neg.numa_nodes = 4;
-  neg.blob_shards = 32;
-  expect_rule("CONC003", pos, neg);
-
-  // The fix-it rounds up to the next multiple of the node count.
-  const AuditReport report = audit(pos);
-  const Finding* f = report.find("CONC003");
-  ASSERT_NE(f, nullptr);
-  ASSERT_TRUE(f->has_fix());
-  AuditInput fixed = pos;
-  f->fix(fixed);
-  EXPECT_EQ(fixed.blob_shards, 33u);
-
-  // Flat machine (0/1 nodes) or unconfigured shards: rule is gated off.
-  AuditInput quiet = clean_input();
-  quiet.numa_nodes = 1;
-  quiet.blob_shards = 17;
-  EXPECT_FALSE(audit(quiet).has("CONC003"));
-  quiet = clean_input();
-  quiet.numa_nodes = 3;  // blob_shards == 0 (unconfigured)
-  EXPECT_FALSE(audit(quiet).has("CONC003"));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "sim/storage.h"
 #include "storage/cache_hierarchy.h"
 #include "storage/tiers.h"
-#include "util/numa.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/work_deque.h"
@@ -104,24 +102,21 @@ std::uint64_t skewed_item(std::size_t i) {
   return h;
 }
 
-std::vector<std::uint64_t> run_skewed(unsigned threads,
-                                      util::PoolSched sched) {
+std::vector<std::uint64_t> run_skewed(unsigned threads) {
   constexpr std::size_t kN = 1024;
   std::vector<std::uint64_t> out(kN);
   std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<ThreadPool>(threads, 0, sched);
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
   util::parallel_for(pool.get(), kN,
                      [&](std::size_t i) { out[i] = skewed_item(i); });
   return out;
 }
 
 TEST(ThreadPoolStealTest, SkewedCostsAreByteIdenticalAcrossThreadCounts) {
-  const auto reference = run_skewed(0, util::PoolSched::kWorkStealing);
+  const auto reference = run_skewed(0);
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(run_skewed(threads, util::PoolSched::kWorkStealing), reference)
+    EXPECT_EQ(run_skewed(threads), reference)
         << "stealing scheduler diverged at " << threads << " threads";
-    EXPECT_EQ(run_skewed(threads, util::PoolSched::kSharedIndex), reference)
-        << "shared-index scheduler diverged at " << threads << " threads";
   }
 }
 
@@ -131,7 +126,7 @@ TEST(ThreadPoolStealTest, SkewForcesSteals) {
   // their own partitions and — since deque 0 still holds ranges — must
   // steal before their victim scan can come up empty. So at least one
   // steal is guaranteed, not just likely.
-  ThreadPool pool(4, 0, util::PoolSched::kWorkStealing);
+  ThreadPool pool(4);
   constexpr std::size_t kN = 1024;
   std::vector<std::uint64_t> out(kN);
   pool.parallel_for(kN, [&](std::size_t i) {
@@ -154,7 +149,7 @@ TEST(ThreadPoolStealTest, SkewForcesSteals) {
 }
 
 TEST(ThreadPoolStealTest, StealStatsResetClearsCounters) {
-  ThreadPool pool(2, 0, util::PoolSched::kWorkStealing);
+  ThreadPool pool(2);
   pool.parallel_for(512, [](std::size_t) {});
   pool.reset_steal_stats();
   const auto stats = pool.steal_stats();
@@ -164,21 +159,10 @@ TEST(ThreadPoolStealTest, StealStatsResetClearsCounters) {
 }
 
 TEST(ThreadPoolStealTest, GrainDerivesFromSizeAndParticipants) {
-  ::unsetenv("HPCC_POOL_GRAIN");
   // n / (participants * 8), clamped to [1, 4096].
   EXPECT_EQ(ThreadPool::grain_for(1024, 4), 1024u / 32u);
   EXPECT_EQ(ThreadPool::grain_for(7, 8), 1u);          // below → clamp up
   EXPECT_EQ(ThreadPool::grain_for(1 << 22, 2), 4096u); // above → clamp down
-  ::setenv("HPCC_POOL_GRAIN", "17", 1);
-  EXPECT_EQ(ThreadPool::grain_for(1024, 4), 17u);
-  ::unsetenv("HPCC_POOL_GRAIN");
-}
-
-TEST(ThreadPoolStealTest, SchedEnvSelectsSharedIndex) {
-  ::setenv("HPCC_POOL_SCHED", "shared", 1);
-  EXPECT_EQ(ThreadPool::default_sched(), util::PoolSched::kSharedIndex);
-  ::unsetenv("HPCC_POOL_SCHED");
-  EXPECT_EQ(ThreadPool::default_sched(), util::PoolSched::kWorkStealing);
 }
 
 TEST(ThreadPoolStealTest, RangeDequeOwnerPopsAndThievesSplit) {
@@ -201,46 +185,11 @@ TEST(ThreadPoolStealTest, RangeDequeOwnerPopsAndThievesSplit) {
   EXPECT_FALSE(dq.steal(&r));  // empty for thieves too
 }
 
-TEST(ConcurrentBlobStoreTest, NumaKeyedShardingCountsRemoteHits) {
-  ::setenv("HPCC_NUMA_NODES", "2", 1);
-  ::unsetenv("HPCC_BLOB_SHARDS");
-  {
-    BlobStore store;
-    // 16 shards per modeled node, homed in contiguous blocks.
-    EXPECT_EQ(store.num_shards(), 32u);
-    EXPECT_EQ(store.topology().nodes, 2u);
-    EXPECT_EQ(store.node_of_shard(0), 0u);
-    EXPECT_EQ(store.node_of_shard(15), 0u);
-    EXPECT_EQ(store.node_of_shard(16), 1u);
-    EXPECT_EQ(store.node_of_shard(31), 1u);
-
-    util::set_current_numa_node(0);
-    Bytes blob(256);
-    for (std::size_t i = 0; i < blob.size(); ++i)
-      blob[i] = static_cast<std::uint8_t>(i);
-    const auto digest = store.put(std::move(blob));
-    // The digest picks one home shard; probing it from both nodes makes
-    // exactly one of the two lookups remote, whichever node it lives on.
-    const auto before = store.numa_remote_hits();
-    util::set_current_numa_node(1);
-    EXPECT_TRUE(store.contains(digest));
-    util::set_current_numa_node(0);
-    EXPECT_TRUE(store.contains(digest));
-    EXPECT_EQ(store.numa_remote_hits() - before, 1u);
-  }
-  util::set_current_numa_node(0);
-  ::unsetenv("HPCC_NUMA_NODES");
-}
-
 TEST(ConcurrentBlobStoreTest, FlatMachineNeverCountsRemoteHits) {
-  ::unsetenv("HPCC_NUMA_NODES");
-  ::unsetenv("HPCC_BLOB_SHARDS");
+  // One flat shard set: every store splits the digest space 16 ways.
+  EXPECT_EQ(BlobStore::kNumShards, 16u);
   BlobStore store;
   EXPECT_EQ(store.num_shards(), 16u);
-  for (std::size_t i = 0; i < store.num_shards(); ++i)
-    EXPECT_EQ(store.node_of_shard(i), 0u);
-  (void)store.put(Bytes(64, std::uint8_t{7}));
-  EXPECT_EQ(store.numa_remote_hits(), 0u);
 }
 
 // -------------------------------------------------- concurrent BlobStore

@@ -191,7 +191,7 @@ TEST_F(DcheckStealTest, StealingSchedulerSweepIsClean) {
   // forces half-range steals: every slot write must be ordered before
   // the caller's read by the spawn/join + deque edges.
   enable();
-  util::ThreadPool pool(4, 0, util::PoolSched::kWorkStealing);
+  util::ThreadPool pool(4);
   std::vector<std::uint64_t> slots(256, 0);
   pool.parallel_for(slots.size(), [&](std::size_t i) {
     std::uint64_t h = i;

@@ -3,6 +3,9 @@
 // format conversions with the sharing-aware conversion cache.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "vfs/compress.h"
 #include "image/build.h"
 #include "image/convert.h"
@@ -118,6 +121,60 @@ TEST(BlobStoreTest, PutVerifiedChecksDigest) {
       store.put_verified(blob, crypto::Digest::of(std::string_view("other")));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().code(), ErrorCode::kIntegrity);
+}
+
+TEST(BlobStoreTest, CopyAndMoveKeepContentsAndCounters) {
+  BlobStore src;
+  std::vector<crypto::Digest> digests;
+  for (int i = 0; i < 40; ++i)
+    digests.push_back(src.put(to_bytes("blob " + std::to_string(i))));
+  (void)src.put(to_bytes("blob 7"));  // one dedup hit
+  const std::uint64_t stored = src.stored_bytes();
+  const std::uint64_t logical = src.logical_bytes();
+  ASSERT_EQ(src.dedup_hits(), 1u);
+
+  auto expect_holds_src = [&](const BlobStore& s, const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(s.num_shards(), BlobStore::kNumShards);
+    EXPECT_EQ(s.num_blobs(), digests.size());
+    for (std::size_t i = 0; i < digests.size(); ++i) {
+      const auto got = s.get(digests[i]);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got.value(), to_bytes("blob " + std::to_string(i)));
+    }
+    EXPECT_EQ(s.stored_bytes(), stored);
+    EXPECT_EQ(s.logical_bytes(), logical);
+    EXPECT_EQ(s.dedup_hits(), 1u);
+  };
+  auto expect_empty = [](const BlobStore& s, const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(s.num_shards(), BlobStore::kNumShards);
+    EXPECT_EQ(s.num_blobs(), 0u);
+    EXPECT_EQ(s.stored_bytes(), 0u);
+    EXPECT_EQ(s.logical_bytes(), 0u);
+    EXPECT_EQ(s.dedup_hits(), 0u);
+  };
+
+  BlobStore copied(src);
+  expect_holds_src(copied, "copy-constructed");
+  BlobStore assigned;
+  (void)assigned.put(to_bytes("replaced by the assignment"));
+  assigned = src;
+  expect_holds_src(assigned, "copy-assigned");
+  expect_holds_src(src, "copy source");
+
+  BlobStore moved(std::move(copied));
+  expect_holds_src(moved, "move-constructed");
+  expect_empty(copied, "move-constructed source");
+  BlobStore move_assigned;
+  move_assigned = std::move(assigned);
+  expect_holds_src(move_assigned, "move-assigned");
+  expect_empty(assigned, "move-assigned source");
+
+  // A moved-from store is empty but fully usable.
+  const auto d = assigned.put(to_bytes("after the move"));
+  EXPECT_TRUE(assigned.contains(d));
+  EXPECT_EQ(assigned.num_blobs(), 1u);
 }
 
 TEST(BlobStoreTest, GetRemove) {

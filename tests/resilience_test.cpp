@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "fault/fault.h"
 #include "fault/resilience.h"
 #include "fault/retry.h"
 #include "image/build.h"
+#include "obs/obs.h"
 #include "registry/client.h"
 #include "registry/proxy.h"
 #include "registry/registry.h"
@@ -181,6 +184,43 @@ TEST(ResilBreaker, ProbeAdmissionIsSeededAndEndpointIndependent) {
   };
   EXPECT_EQ(draw_sequence("proxy-a"), draw_sequence("proxy-a"));
   EXPECT_NE(draw_sequence("proxy-a"), draw_sequence("proxy-b"));
+}
+
+TEST(ResilBreaker, EachHealthValuePublishesUnderOneName) {
+  obs::Config metrics_on;
+  metrics_on.metrics = true;
+  obs::configure(metrics_on);
+
+  // An enabled breaker publishes on every outcome: one gauge per value.
+  CircuitBreaker b("ep", test_breaker(3));
+  b.on_success(sec(1), msec(20));
+  b.on_failure(sec(2));
+  const auto gauges = obs::metrics().snapshot().gauges;
+  for (const std::string value : {"error_bp", "latency_us"}) {
+    std::vector<std::string> names;
+    for (const auto& [name, v] : gauges)
+      if (name.find(value) != std::string::npos) names.push_back(name);
+    EXPECT_EQ(names, std::vector<std::string>{"fault.health.ep." + value});
+  }
+
+  // Every breaker a client or proxy builds carries an endpoint name.
+  obs::configure(metrics_on);  // fresh registry
+  sim::Network net(2);
+  registry::OciRegistry reg("upstream.example");
+  registry::RegistryClient client(&net, 1);
+  registry::PullThroughProxy proxy("proxy.site", &reg);
+  client.primary_breaker().publish_health();
+  client.secondary_breaker().publish_health();
+  client.origin_breaker().publish_health();
+  proxy.origin_breaker().publish_health();
+  const auto fresh = obs::metrics().snapshot().gauges;
+  for (const char* ep :
+       {"proxy-primary", "proxy-secondary", "origin", "proxy.site-origin"})
+    EXPECT_EQ(fresh.count("fault.health." + std::string(ep) + ".error_bp"), 1u)
+        << ep;
+  for (const auto& [name, v] : fresh)
+    EXPECT_EQ(name.find('?'), std::string::npos) << name;
+  obs::reset();
 }
 
 // --------------------------------------------------------------- HedgePolicy

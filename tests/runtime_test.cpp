@@ -141,6 +141,10 @@ struct PolicyCase {
   bool expect_ok;
 };
 
+// Without this gtest prints the raw bytes of the case, which embed the
+// load address of `name` and so rename the test on every run.
+void PrintTo(const PolicyCase& c, std::ostream* os) { *os << c.name; }
+
 class MountPolicy : public ::testing::TestWithParam<PolicyCase> {};
 
 TEST_P(MountPolicy, Matrix) {

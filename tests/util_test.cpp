@@ -4,11 +4,9 @@
 
 #include <cstdlib>
 #include <set>
-#include <thread>
 
 #include "util/env.h"
 #include "util/log.h"
-#include "util/numa.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -346,9 +344,9 @@ TEST(WireTest, ReaderOffsetTracks) {
 
 // --------------------------------------------------------------- env_uint
 
-// One shared parser behind HPCC_THREADS, HPCC_BLOB_SHARDS,
-// HPCC_FAULT_SEED, HPCC_DCHECK_SEED: unset, malformed, negative and
-// out-of-range values all fall back rather than half-parse.
+// One shared parser behind the numeric knobs (HPCC_THREADS,
+// HPCC_FAULT_SEED, ...): unset, malformed, negative and out-of-range
+// values all fall back rather than half-parse.
 TEST(EnvUintTest, UnsetReturnsFallback) {
   ::unsetenv("HPCC_TEST_ENV_UINT");
   EXPECT_EQ(util::env_uint("HPCC_TEST_ENV_UINT", 7), 7u);
@@ -386,46 +384,6 @@ TEST(EnvUintTest, BoundsAreInclusive) {
   ::setenv("HPCC_TEST_ENV_UINT", "4096", 1);
   EXPECT_EQ(util::env_uint("HPCC_TEST_ENV_UINT", 7, 1, 4096), 4096u);
   ::unsetenv("HPCC_TEST_ENV_UINT");
-}
-
-// ----------------------------------------------------------- NumaTopology
-
-TEST(NumaTopologyTest, DefaultsToOneFlatNode) {
-  ::unsetenv("HPCC_NUMA_NODES");
-  const auto topo = util::NumaTopology::detect();
-  EXPECT_EQ(topo.nodes, 1u);
-  EXPECT_GE(topo.cpus_per_node, 1u);
-  // Flat machine: everything is node 0, whatever the CPU or worker.
-  for (unsigned cpu = 0; cpu < 32; ++cpu)
-    EXPECT_EQ(topo.node_of_cpu(cpu), 0u);
-}
-
-TEST(NumaTopologyTest, EnvModelsMultiNodeMachine) {
-  ::setenv("HPCC_NUMA_NODES", "4", 1);
-  const auto topo = util::NumaTopology::detect();
-  EXPECT_EQ(topo.nodes, 4u);
-  EXPECT_GE(topo.cpus_per_node, 1u);
-  // CPUs distribute in contiguous blocks, wrapping past the last node.
-  EXPECT_EQ(topo.node_of_cpu(0), 0u);
-  EXPECT_EQ(topo.node_of_cpu(topo.cpus_per_node), 1u);
-  EXPECT_EQ(topo.node_of_cpu(topo.cpus_per_node * 4), 0u);
-  for (unsigned w = 0; w < 64; ++w) EXPECT_LT(topo.node_of_worker(w), 4u);
-  ::unsetenv("HPCC_NUMA_NODES");
-}
-
-TEST(NumaTopologyTest, CurrentNodeIsThreadLocal) {
-  ::unsetenv("HPCC_NUMA_NODES");
-  util::set_current_numa_node(3);
-  EXPECT_EQ(util::current_numa_node(), 3u);
-  std::thread other([] {
-    // A fresh thread starts on node 0 regardless of the caller's node.
-    EXPECT_EQ(util::current_numa_node(), 0u);
-    util::set_current_numa_node(1);
-    EXPECT_EQ(util::current_numa_node(), 1u);
-  });
-  other.join();
-  EXPECT_EQ(util::current_numa_node(), 3u);
-  util::set_current_numa_node(0);
 }
 
 }  // namespace

@@ -299,6 +299,10 @@ struct CompressCase {
   int shape;  // 0 = zeros, 1 = random, 2 = text-like, 3 = periodic
 };
 
+// Without this gtest prints the raw bytes of the case, which embed the
+// load address of `name` and so rename the test on every run.
+void PrintTo(const CompressCase& c, std::ostream* os) { *os << c.name; }
+
 class CompressProperty : public ::testing::TestWithParam<CompressCase> {};
 
 TEST_P(CompressProperty, RoundTrip) {

@@ -39,6 +39,22 @@ if grep -rnE '\b(PageCache|SharedFilesystem|NodeLocalStorage)\b' \
   exit 1
 fi
 
+# Knob inventory: the HPCC_* variables read under src/ (the names passed
+# to getenv / env_uint) must be exactly the ones README's
+# environment-knob list documents.
+echo "== knob check (HPCC_* read under src/ vs README knob list)"
+knobs_src="$(grep -rhozP '(getenv|env_uint)\(\s*"\KHPCC_[A-Z0-9_]+' \
+               "$repo_root/src" --include='*.h' --include='*.cpp' \
+             | tr '\0' '\n' | sort -u)"
+knobs_doc="$(sed -n '/^Environment knobs/,/^The numeric knobs/p' \
+               "$repo_root/README.md" | grep -oE 'HPCC_[A-Z0-9_]+' | sort -u)"
+if [[ "$knobs_src" != "$knobs_doc" ]]; then
+  echo "knob list mismatch (< read under src/ only, > in README only):"
+  diff <(echo "$knobs_src") <(echo "$knobs_doc") || true
+  exit 1
+fi
+echo "knob check: $(echo "$knobs_src" | wc -l) knobs, README agrees"
+
 run_config "$repo_root/build"
 
 if [[ "${SKIP_SAN:-}" != "1" ]]; then

@@ -489,9 +489,7 @@ int run_sweep(const Options& opts) {
   dcheck::configure(cfg);
 
   const PullFixture fixture;
-  // Pin the scheduler explicitly so the sweep certifies the stealing
-  // deques regardless of any HPCC_POOL_SCHED in the environment.
-  util::ThreadPool pool(4, 0, util::PoolSched::kWorkStealing);
+  util::ThreadPool pool(4);
 
   // Pass 1+2 (races, lock order) over the real data path, including
   // forced half-range steals.
