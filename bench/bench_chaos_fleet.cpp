@@ -27,8 +27,13 @@
 // amplification (clients + proxies) <= 2x; no cascade (the resilient
 // arm puts no more fetches on the origin than the baseline arm does
 // during the same incidents); the chaos actually engaged (sheds and
-// breaker trips are nonzero); and a same-seed rerun of the resilient
-// arm is byte-identical.
+// breaker trips are nonzero); a same-seed rerun of the resilient arm
+// is byte-identical; and, with metrics on, each arm's
+// fault.hedge.launched counter equals its hedges_launched field.
+//
+// Every arm starts from an empty obs registry, so --json embeds each
+// arm's own metrics snapshot inside its arm object, and an HPCC_METRICS
+// export holds the last arm's (the baseline's).
 //
 // Plain driver (not google-benchmark), so CI can track the summary:
 //
@@ -50,6 +55,7 @@
 #include "fault/resilience.h"
 #include "fault/retry.h"
 #include "image/build.h"
+#include "obs/obs.h"
 #include "registry/client.h"
 #include "registry/proxy.h"
 #include "registry/registry.h"
@@ -107,6 +113,7 @@ struct ArmResult {
   std::uint64_t checksum = 0;
   SimTime makespan = 0;
   double wall_ms = 0;
+  obs::MetricsSnapshot metrics;  ///< this arm's obs registry at its end
 
   double completion_rate(const ChaosParams& p) const {
     return static_cast<double>(completions) / static_cast<double>(p.nodes);
@@ -132,6 +139,8 @@ struct ArmResult {
 };
 
 ArmResult run_arm(bool resilient, const ChaosParams& p) {
+  obs::metrics().clear();
+
   // --- chaos plan: brownout, proxy flap, partition -----------------------
   fault::FaultPlan plan;
   plan.seed = fault::env_fault_seed(p.seed);
@@ -280,6 +289,7 @@ ArmResult run_arm(bool resilient, const ChaosParams& p) {
     out.sheds += proxy->shed_upstream();
     out.breaker_trips += proxy->origin_breaker().trips();
   }
+  out.metrics = obs::metrics().snapshot();
   return out;
 }
 
@@ -321,8 +331,15 @@ void write_arm(hpcc::bench::JsonWriter& js, const char* key,
       .field("wan_bytes", r.wan_bytes)
       .field("makespan_sec", to_seconds(r.makespan))
       .field("wall_ms", r.wall_ms)
-      .field("checksum", r.checksum)
-      .end();
+      .field("checksum", r.checksum);
+  js.raw("metrics", r.metrics.to_json(static_cast<int>(2 * js.depth())));
+  js.end();
+}
+
+/// The hedge counter the client publishes, as this arm's snapshot saw it.
+std::uint64_t hedge_counter(const ArmResult& r) {
+  const auto it = r.metrics.counters.find("fault.hedge.launched");
+  return it == r.metrics.counters.end() ? 0 : it->second;
 }
 
 }  // namespace
@@ -389,6 +406,17 @@ int main(int argc, char** argv) {
   gate(resilient.breaker_trips > 0, "no breaker ever tripped");
   gate(resilient.same_simulation(rerun),
        "same-seed rerun diverged (determinism violation)");
+  auto hedge_gate = [&gate](const char* name, const ArmResult& r) {
+    gate(hedge_counter(r) == r.hedges_launched,
+         std::string(name) + " arm: fault.hedge.launched counter " +
+             std::to_string(hedge_counter(r)) + " != hedges_launched " +
+             std::to_string(r.hedges_launched));
+  };
+  if (hpcc::obs::metrics_enabled()) {
+    hedge_gate("resilient", resilient);
+    hedge_gate("rerun", rerun);
+    hedge_gate("baseline", baseline);
+  }
   if (ok) std::printf("all gates passed\n");
 
   if (!json_path.empty()) {
@@ -403,7 +431,6 @@ int main(int argc, char** argv) {
         .field("gates_passed", ok);
     write_arm(js, "resilient", resilient, params);
     write_arm(js, "baseline", baseline, params);
-    js.raw("metrics", hpcc::obs::metrics().snapshot().to_json(2));
     if (!js.write_file(json_path)) ok = false;
   }
   hpcc::bench::export_obs();

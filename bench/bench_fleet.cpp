@@ -33,9 +33,11 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.h"
+#include "heap_event_queue.h"
 #include "image/build.h"
 #include "registry/proxy.h"
 #include "registry/registry.h"
@@ -67,8 +69,9 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
 /// 16-byte small-object buffer of libstdc++'s std::function: the heap
 /// baseline allocates every capture on the heap, which is exactly the
 /// per-event cost the arena removes.
+template <class Queue>
 struct Tick {
-  sim::EventQueue* q;
+  Queue* q;
   std::uint64_t label;
   std::uint64_t stride;
   std::uint64_t* checksum;
@@ -99,11 +102,18 @@ struct KernelResult {
   sim::EventQueueStats stats;
 };
 
-KernelResult run_kernel(sim::QueueImpl impl, std::uint32_t nodes,
-                        std::uint32_t ticks, int reps) {
+/// The heap reference publishes no obs counters; only the calendar
+/// kernel's sim.events.* / sim.queue.* land in the metrics snapshot.
+template <class Queue>
+void publish_stats(Queue& q) {
+  if constexpr (std::is_same_v<Queue, sim::EventQueue>) q.publish_stats();
+}
+
+template <class Queue>
+KernelResult run_kernel(std::uint32_t nodes, std::uint32_t ticks, int reps) {
   KernelResult out;
   for (int r = 0; r < reps; ++r) {
-    sim::EventQueue q(impl);
+    Queue q;
     std::uint64_t checksum = 1469598103934665603ull;
     q.reserve(nodes);
     const auto t0 = std::chrono::steady_clock::now();
@@ -111,8 +121,8 @@ KernelResult run_kernel(sim::QueueImpl impl, std::uint32_t nodes,
       // The whole fleet lands inside one ~131ms flash window.
       const SimTime arrival =
           static_cast<SimTime>((n * 2654435761ull) % 131072);
-      q.schedule_at(arrival, Tick{&q, n, n * 0x9e3779b97f4a7c15ull + 1,
-                                  &checksum, ticks});
+      q.schedule_at(arrival, Tick<Queue>{&q, n, n * 0x9e3779b97f4a7c15ull + 1,
+                                         &checksum, ticks});
     }
     q.run();
     const double ms = elapsed_ms(t0);
@@ -127,7 +137,7 @@ KernelResult run_kernel(sim::QueueImpl impl, std::uint32_t nodes,
       out.wall_ms = ms;
       out.stats = q.stats();
     }
-    q.publish_stats();
+    publish_stats(q);
   }
   out.eps = out.wall_ms > 0
                 ? static_cast<double>(out.executed) / (out.wall_ms / 1000.0)
@@ -168,7 +178,8 @@ struct FleetResult {
   }
 };
 
-FleetResult run_fleet(sim::QueueImpl impl, const FleetParams& p) {
+template <class Queue>
+FleetResult run_fleet(const FleetParams& p) {
   registry::RegistryLimits limits;
   limits.pull_limit = 32;  // DockerHub-style cap; the crowd exhausts it
   limits.pull_window = sec(1);
@@ -208,7 +219,7 @@ FleetResult run_fleet(sim::QueueImpl impl, const FleetParams& p) {
     proxies.push_back(std::make_unique<registry::PullThroughProxy>(
         "proxy" + std::to_string(i) + ".site", &origin));
 
-  sim::EventQueue events(impl);
+  Queue events;
   std::uint64_t checksum = 1469598103934665603ull;
   auto complete = [&](std::uint32_t node, SimTime at) {
     ++out.completions;
@@ -292,7 +303,7 @@ FleetResult run_fleet(sim::QueueImpl impl, const FleetParams& p) {
   out.executed = events.executed();
   out.checksum = checksum;
   out.stats = events.stats();
-  events.publish_stats();
+  publish_stats(events);
   return out;
 }
 
@@ -337,9 +348,8 @@ int main(int argc, char** argv) {
               k_ticks + 1,
               static_cast<double>(k_nodes) * (k_ticks + 1) / 1e6);
   const KernelResult heap =
-      run_kernel(sim::QueueImpl::kHeap, k_nodes, k_ticks, reps);
-  const KernelResult cal =
-      run_kernel(sim::QueueImpl::kCalendar, k_nodes, k_ticks, reps);
+      run_kernel<sim::HeapEventQueue>(k_nodes, k_ticks, reps);
+  const KernelResult cal = run_kernel<sim::EventQueue>(k_nodes, k_ticks, reps);
   if (cal.checksum != heap.checksum || cal.executed != heap.executed) {
     std::cerr << "PARITY VIOLATION: kernel arm execution order diverged "
                  "between calendar and heap\n";
@@ -361,8 +371,8 @@ int main(int argc, char** argv) {
   std::printf("\nfleet arm: %u nodes, %u proxies, %d x %.0f KiB layers\n",
               fp.nodes, fp.proxies, fp.layers,
               static_cast<double>(fp.layer_bytes) / 1024.0);
-  const FleetResult fleet_cal = run_fleet(sim::QueueImpl::kCalendar, fp);
-  const FleetResult fleet_heap = run_fleet(sim::QueueImpl::kHeap, fp);
+  const FleetResult fleet_cal = run_fleet<sim::EventQueue>(fp);
+  const FleetResult fleet_heap = run_fleet<sim::HeapEventQueue>(fp);
   if (!fleet_cal.same_simulation(fleet_heap)) {
     std::cerr << "PARITY VIOLATION: fleet scenario diverged between "
                  "calendar and heap kernels\n";

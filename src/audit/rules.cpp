@@ -813,7 +813,7 @@ void ctrl002(const AuditInput& in, std::vector<Finding>& out) {
       "(adaptation) loop must run slower than the inner (retry) loop";
   f.paper_ref = "§5.1.3";
   f.fix_hint =
-      "raise the control epoch (HPCC_CONTROL_EPOCH_MS) to at least the "
+      "raise the control epoch (control::Config::epoch) to at least the "
       "retry backoff cap";
   f.fix = [](AuditInput& in2) {
     if (in2.control_plane && in2.registry_retry)

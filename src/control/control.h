@@ -1,20 +1,12 @@
 // hpcc/control/control.h
 //
-// Process-wide switchboard for the closed-loop adaptive control plane
-// (DESIGN.md §15). Everything is OFF by default: with the controller
-// disabled, no epoch events are scheduled, no actuator is ever touched,
-// and a consumer's "should I attach a controller?" check reduces to one
-// relaxed atomic load — so a controller-less run is byte-identical to a
-// build without src/control at all (test-enforced, control_test.cpp).
-//
-// Configuration follows the obs::Config precedent: explicit
-// control::configure(Config) wins; control::Config::from_env() reads
-//   HPCC_CONTROL=1          enable the control plane (0 disables)
-//   HPCC_CONTROL_EPOCH_MS=N control epoch in milliseconds (default 500)
-// so benches and the CLI pick the knobs up without plumbing flags.
+// Configuration of the closed-loop adaptive control plane (DESIGN.md
+// §15). Everything is OFF by default: a controller built from a
+// disabled Config schedules no epoch events and touches no actuator, so
+// a controller-off run is byte-identical to a build without src/control
+// at all (test-enforced, control_test.cpp). Callers pass the Config to
+// control::Controller explicitly.
 #pragma once
-
-#include <atomic>
 
 #include "util/sim_time.h"
 
@@ -28,29 +20,6 @@ struct Config {
   /// (the controller would react to transients the retry layer is still
   /// absorbing — classic control thrash).
   SimDuration epoch = msec(500);
-
-  /// Reads HPCC_CONTROL / HPCC_CONTROL_EPOCH_MS (util::env_uint):
-  /// HPCC_CONTROL=1 enables with the epoch knob (bounded to
-  /// [1, 3600000] ms), =0 disables; unset returns `fallback`.
-  static Config from_env();
-  static Config from_env(Config fallback);
 };
-
-/// Installs `cfg` process-wide and mirrors cfg.enabled into the atomic
-/// gate below.
-void configure(const Config& cfg);
-const Config& config();
-
-/// configure({}) — control plane off.
-void reset();
-
-namespace detail {
-extern std::atomic<bool> g_enabled;
-}  // namespace detail
-
-/// The hot-path gate: one relaxed load, mirroring obs::metrics_enabled().
-inline bool enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
 
 }  // namespace hpcc::control

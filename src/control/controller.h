@@ -159,8 +159,6 @@ std::string fmt_setting(double v);
 
 class Controller {
  public:
-  /// Uses the process-wide control::config() by default.
-  Controller() : Controller(control::config()) {}
   explicit Controller(Config cfg) : cfg_(cfg) {}
 
   const Config& config() const { return cfg_; }

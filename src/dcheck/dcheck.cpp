@@ -1,7 +1,6 @@
 #include "dcheck/dcheck.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <numeric>
 #include <set>
@@ -154,22 +153,6 @@ void race_finding(Detector& d, const VarState& var) {
 }
 
 }  // namespace
-
-Config Config::from_env() {
-  Config cfg;
-  if (const char* p = std::getenv("HPCC_DCHECK"); p && *p) {
-    cfg.enabled = std::string_view(p) != "0";
-  }
-  if (const char* p = std::getenv("HPCC_DCHECK_PERTURB"); p && *p) {
-    cfg.perturb = std::string_view(p) != "0";
-  }
-  if (const char* p = std::getenv("HPCC_DCHECK_SEED"); p && *p) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end != p && *end == '\0') cfg.seed = static_cast<std::uint64_t>(v);
-  }
-  return cfg;
-}
 
 void configure(const Config& cfg) {
   Detector& d = detector();

@@ -10,11 +10,11 @@
 // DESIGN.md §7 becomes an enforced, reportable invariant instead of a
 // convention defended only by TSan runs.
 //
-// Gating mirrors obs::Config exactly: everything is OFF by default, and
-// every annotation site reduces to one relaxed atomic load when off —
-// no allocation, no locking, no string building — so an instrumented
-// build with HPCC_DCHECK unset is byte-identical to an uninstrumented
-// one (test-enforced, dcheck_test.cpp).
+// Gating mirrors obs::Config: everything is OFF until dcheck::configure
+// turns it on, and every annotation site reduces to one relaxed atomic
+// load when off — no allocation, no locking, no string building — so an
+// instrumented build with the gate down is byte-identical to an
+// uninstrumented one (test-enforced, dcheck_test.cpp).
 //
 // The analyses are deliberately annotation-driven, not binary
 // instrumentation: call sites declare task spawn/join edges
@@ -42,10 +42,6 @@ struct Config {
   bool enabled = false;  ///< master gate for every annotation
   bool perturb = false;  ///< schedule perturbation (determinism auditor)
   std::uint64_t seed = 0;  ///< perturbation seed
-
-  /// HPCC_DCHECK (set and not "0") enables the checker;
-  /// HPCC_DCHECK_PERTURB enables perturbation; HPCC_DCHECK_SEED seeds it.
-  static Config from_env();
 };
 
 /// Installs `cfg` and clears all detector state (thread clocks, lock

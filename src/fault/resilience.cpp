@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/obs.h"
-#include "util/env.h"
 
 namespace hpcc::fault {
 
@@ -94,16 +93,6 @@ BreakerConfig BreakerConfig::standard() {
   return cfg;
 }
 
-BreakerConfig BreakerConfig::from_env() { return from_env(BreakerConfig{}); }
-
-BreakerConfig BreakerConfig::from_env(BreakerConfig fallback) {
-  const std::uint64_t v =
-      util::env_uint("HPCC_BREAKER", fallback.enabled ? 1 : 0, 0, 1);
-  if (v == 1 && !fallback.enabled) return standard();
-  if (v == 0) fallback.enabled = false;
-  return fallback;
-}
-
 CircuitBreaker::CircuitBreaker(std::string endpoint, BreakerConfig cfg)
     : endpoint_(std::move(endpoint)),
       cfg_(cfg),
@@ -184,7 +173,7 @@ void CircuitBreaker::transition(BreakerState next, SimTime now) {
 void CircuitBreaker::publish_health() const {
   if (!obs::metrics_enabled()) return;
   obs::metrics()
-      .gauge("fault.breaker.state:" + endpoint_)
+      .gauge("fault.breaker." + endpoint_ + ".state")
       .set(static_cast<std::int64_t>(state_));
   health_.publish("fault.health." + endpoint_);
 }
@@ -204,18 +193,6 @@ HedgePolicy HedgePolicy::after(SimDuration budget) {
   HedgePolicy h;
   h.fixed_budget = budget < 1 ? 1 : budget;
   return h;
-}
-
-HedgePolicy HedgePolicy::from_env() { return from_env(HedgePolicy{}); }
-
-HedgePolicy HedgePolicy::from_env(HedgePolicy fallback) {
-  const std::uint64_t pct = util::env_uint(
-      "HPCC_HEDGE_PCT", fallback.percentile > 0.0
-                            ? static_cast<std::uint64_t>(fallback.percentile * 100.0)
-                            : 0,
-      0, 99);
-  if (pct == 0) return fallback;
-  return at_percentile(static_cast<double>(pct) / 100.0, 1.5);
 }
 
 SimDuration HedgePolicy::launch_after(const HealthTracker& primary_health) const {
@@ -244,23 +221,6 @@ AdmissionConfig AdmissionConfig::standard(double qps) {
   AdmissionConfig cfg;
   cfg.enabled = true;
   cfg.rate_per_sec = qps < 1.0 ? 1.0 : qps;
-  return cfg;
-}
-
-AdmissionConfig AdmissionConfig::from_env() { return from_env(AdmissionConfig{}); }
-
-AdmissionConfig AdmissionConfig::from_env(AdmissionConfig fallback) {
-  const std::uint64_t qps = util::env_uint(
-      "HPCC_SHED_QPS",
-      fallback.enabled ? static_cast<std::uint64_t>(fallback.rate_per_sec) : 0,
-      0, 10'000'000);
-  if (qps == 0) {
-    fallback.enabled = false;
-    return fallback;
-  }
-  AdmissionConfig cfg = fallback;
-  cfg.enabled = true;
-  cfg.rate_per_sec = static_cast<double>(qps);
   return cfg;
 }
 

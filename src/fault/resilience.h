@@ -27,8 +27,9 @@
 //  * a disabled breaker/controller admits everything and draws nothing,
 //    so the disabled configuration is byte-identical to a build without
 //    the resilience layer at all;
-//  * all state is observable via obs (fault.breaker.state,
-//    fault.hedge.won, fault.shed.count, per-endpoint health gauges) and
+//  * all state is observable via obs (the per-endpoint state gauge
+//    fault.breaker.<endpoint>.state and health gauges
+//    fault.health.<endpoint>.*, fault.hedge.won, fault.shed.count) and
 //    obs itself is off-is-byte-identical.
 //
 // This state is also the sensor input the ROADMAP's closed-loop
@@ -128,10 +129,6 @@ struct BreakerConfig {
 
   /// The configuration the ROB003 fix-it installs.
   static BreakerConfig standard();
-  /// HPCC_BREAKER=1 enables the standard config, =0 disables; unset
-  /// returns `fallback`.
-  static BreakerConfig from_env();
-  static BreakerConfig from_env(BreakerConfig fallback);
 };
 
 /// Per-endpoint circuit breaker over sim time. Not thread-safe: lives on
@@ -165,10 +162,12 @@ class CircuitBreaker {
   BreakerState state() const { return state_; }
 
   const HealthTracker& health() const { return health_; }
-  /// Publishes the breaker's state gauge and its health gauges under
-  /// fault.health.<endpoint>. An enabled breaker calls this after every
-  /// outcome and transition; a control epoch calls it on demand, since
-  /// it wants fresh EWMAs from quiet and disabled breakers too.
+  /// Publishes the breaker's state gauge fault.breaker.<endpoint>.state
+  /// and its health gauges under fault.health.<endpoint> (the state
+  /// stays out of fault.health., RoutingPolicy's sensor family). An
+  /// enabled breaker calls this after every outcome and transition; a
+  /// control epoch calls it on demand, since it wants fresh EWMAs from
+  /// quiet and disabled breakers too.
   void publish_health() const;
   std::uint64_t rejected() const { return rejected_; }
   std::uint64_t trips() const { return trips_; }
@@ -217,10 +216,6 @@ struct HedgePolicy {
 
   static HedgePolicy at_percentile(double p, double mult = 1.0);
   static HedgePolicy after(SimDuration budget);
-  /// HPCC_HEDGE_PCT=NN (1..99) hedges at that percentile; =0 disables;
-  /// unset returns `fallback`.
-  static HedgePolicy from_env();
-  static HedgePolicy from_env(HedgePolicy fallback);
 };
 
 // ---------------------------------------------------------------------------
@@ -249,10 +244,6 @@ struct AdmissionConfig {
 
   /// The configuration the ROB004 fix-it installs.
   static AdmissionConfig standard(double qps = 200.0);
-  /// HPCC_SHED_QPS=N (>=1) enables standard(N); =0 disables; unset
-  /// returns `fallback`.
-  static AdmissionConfig from_env();
-  static AdmissionConfig from_env(AdmissionConfig fallback);
 };
 
 /// Deterministic token-bucket load shedder over sim time. Single timed

@@ -1,8 +1,6 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/obs.h"
 
@@ -12,23 +10,13 @@ namespace {
 constexpr SimDuration kDefaultBucketUs = 64;
 }  // namespace
 
-QueueImpl queue_impl_from_env() {
-  const char* v = std::getenv("HPCC_SIM_QUEUE");
-  if (v != nullptr && std::strcmp(v, "heap") == 0) return QueueImpl::kHeap;
-  return QueueImpl::kCalendar;
-}
-
-EventQueue::EventQueue() : EventQueue(queue_impl_from_env()) {}
-
-EventQueue::EventQueue(QueueImpl impl, SimDuration bucket_width)
-    : impl_(impl),
-      width_(bucket_width > 0 ? bucket_width : kDefaultBucketUs) {
-  if (impl_ == QueueImpl::kCalendar) buckets_.resize(kNumBuckets);
-}
+EventQueue::EventQueue(SimDuration bucket_width)
+    : width_(bucket_width > 0 ? bucket_width : kDefaultBucketUs),
+      buckets_(kNumBuckets) {}
 
 EventQueue::~EventQueue() {
-  // Pending calendar payloads own resources (captured shared_ptrs,
-  // strings); run their destructors without invoking them.
+  // Pending payloads own resources (captured shared_ptrs, strings); run
+  // their destructors without invoking them.
   for (auto& b : buckets_) {
     for (std::size_t i = b.cursor; i < b.ev.size(); ++i)
       b.ev[i]->destroy(payload_of(b.ev[i]));
@@ -37,8 +25,6 @@ EventQueue::~EventQueue() {
     for (EventNode* n : vec) n->destroy(payload_of(n));
   }
 }
-
-// --------------------------------------------------------------- calendar
 
 void EventQueue::insert_calendar(EventNode* n) {
   const std::uint64_t ab = abs_bucket(n->time);
@@ -144,7 +130,7 @@ EventQueue::EventNode* EventQueue::locate_next() {
   }
 }
 
-void EventQueue::run_calendar_event(EventNode* n) {
+void EventQueue::run_event(EventNode* n) {
   // All pop bookkeeping happens before the callback runs: the callback
   // may schedule (growing the arena, rewinding the wheel) freely.
   Bucket& b = buckets_[cursor_];
@@ -159,49 +145,14 @@ void EventQueue::run_calendar_event(EventNode* n) {
   arena_.release(n->block);
 }
 
-// ------------------------------------------------------------------- heap
-
-void EventQueue::push_heap_event(SimTime t, Callback fn) {
-  // Doubling via reserve keeps scheduling bursts (a fan-out scheduling
-  // hundreds of arrivals at once) from reallocating on every few
-  // pushes; push_heap then only swaps Events along one root path.
-  if (heap_.size() == heap_.capacity())
-    heap_.reserve(heap_.empty() ? 16 : heap_.size() * 2);
-  heap_.push_back(HeapEvent{t, next_seq_++, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-void EventQueue::run_heap_event() {
-  // pop_heap parks the next event at the back, where it is ours by
-  // value — the Callback moves out instead of copying.
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  HeapEvent ev = std::move(heap_.back());
-  heap_.pop_back();
-  --pending_;
-  now_ = ev.time;
-  ++stats_.executed;
-  ev.fn();
-}
-
-// ------------------------------------------------------------ common API
-
 void EventQueue::reserve(std::size_t events) {
-  if (impl_ == QueueImpl::kHeap) {
-    heap_.reserve(heap_.size() + events);
-  } else {
-    arena_.reserve_bytes(events * kReservedEventBytes);
-  }
+  arena_.reserve_bytes(events * kReservedEventBytes);
 }
 
 bool EventQueue::step() {
-  if (impl_ == QueueImpl::kHeap) {
-    if (heap_.empty()) return false;
-    run_heap_event();
-    return true;
-  }
   EventNode* n = locate_next();
   if (n == nullptr) return false;
-  run_calendar_event(n);
+  run_event(n);
   return true;
 }
 
@@ -212,17 +163,10 @@ void EventQueue::run() {
 
 std::size_t EventQueue::run_until(SimTime t) {
   std::size_t n = 0;
-  if (impl_ == QueueImpl::kHeap) {
-    while (!heap_.empty() && heap_.front().time <= t) {
-      run_heap_event();
-      ++n;
-    }
-  } else {
-    while (EventNode* e = locate_next()) {
-      if (e->time > t) break;
-      run_calendar_event(e);
-      ++n;
-    }
+  while (EventNode* e = locate_next()) {
+    if (e->time > t) break;
+    run_event(e);
+    ++n;
   }
   if (now_ < t) now_ = t;
   return n;

@@ -9,23 +9,18 @@
 // ties in time break by insertion order, which makes every simulation
 // fully deterministic (DESIGN.md §5, §13).
 //
-// Two interchangeable kernels sit behind one API (HPCC_SIM_QUEUE):
-//
-//  * kCalendar (default) — a two-level calendar/timer wheel with
-//    arena-allocated events. Near-term events land in fixed-width
-//    buckets (64 simulated microseconds each); far-future events
-//    park in an overflow wheel keyed by window and refill the buckets
-//    in batches as the clock crosses window boundaries. Callbacks are
-//    placement-new'd into a bump-pointer EventArena — no per-event heap
-//    allocation, no std::function type erasure on the hot path.
-//  * kHeap — the original binary heap of std::function events, kept as
-//    the measured baseline and as the reference order for the
-//    byte-identical event-order contract (test-enforced: both kernels
-//    execute any schedule in the exact same (time, seq) order).
+// The kernel is a two-level calendar/timer wheel with arena-allocated
+// events. Near-term events land in fixed-width buckets (64 simulated
+// microseconds each); far-future events park in an overflow wheel
+// keyed by window and refill the buckets in batches as the clock
+// crosses window boundaries. Callbacks are placement-new'd into a
+// bump-pointer EventArena — no per-event heap allocation, no
+// std::function type erasure on the hot path. The original binary
+// heap survives only as a test-side reference (tests/heap_event_queue.h)
+// that the parity checks compare this kernel's (time, seq) order to.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <new>
@@ -37,13 +32,6 @@
 #include "util/sim_time.h"
 
 namespace hpcc::sim {
-
-/// Kernel selection. The env knob HPCC_SIM_QUEUE accepts "calendar"
-/// (default) and "heap".
-enum class QueueImpl : std::uint8_t { kCalendar, kHeap };
-
-/// Resolves HPCC_SIM_QUEUE; unset or unrecognized means kCalendar.
-QueueImpl queue_impl_from_env();
 
 /// Kernel observability (surfaced through obs as sim.events.* /
 /// sim.queue.* by publish_stats()).
@@ -60,21 +48,15 @@ struct EventQueueStats {
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
-
-  /// Kernel from the environment (HPCC_SIM_QUEUE), default bucket width.
-  EventQueue();
-  /// Explicit kernel; `bucket_width` 0 means the default 64 us (calendar
-  /// only — the heap baseline has no buckets). Event order is identical
+  /// `bucket_width` 0 means the default 64 us. Event order is identical
   /// at any width.
-  explicit EventQueue(QueueImpl impl, SimDuration bucket_width = 0);
+  explicit EventQueue(SimDuration bucket_width = 0);
   ~EventQueue();
 
-  // Pending calendar events point into the arena; the queue pins both.
+  // Pending events point into the arena; the queue pins both.
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  QueueImpl impl() const { return impl_; }
   SimDuration bucket_width() const { return width_; }
 
   /// Current simulated time. Starts at 0.
@@ -82,21 +64,18 @@ class EventQueue {
 
   /// Schedules `fn` at absolute time `t`. Scheduling in the past is an
   /// event-at-now (clamped), never time travel. `fn` is any callable;
-  /// the calendar kernel stores it in the arena without type erasure.
+  /// it is stored in the arena without type erasure.
   template <class F>
   void schedule_at(SimTime t, F&& fn) {
     if (t < now_) t = now_;
-    if (impl_ == QueueImpl::kHeap) {
-      push_heap_event(t, Callback(std::forward<F>(fn)));
-    } else {
-      using Fn = std::decay_t<F>;
-      const auto a = arena_.allocate(kPayloadOffset + sizeof(Fn));
-      auto* n = new (a.ptr) EventNode{t, next_seq_++, &invoke_thunk<Fn>,
-                                      &destroy_thunk<Fn>, a.block};
-      new (payload_of(n)) Fn(std::forward<F>(fn));
-      insert_calendar(n);
-    }
-    note_scheduled();
+    using Fn = std::decay_t<F>;
+    const auto a = arena_.allocate(kPayloadOffset + sizeof(Fn));
+    auto* n = new (a.ptr) EventNode{t, next_seq_++, &invoke_thunk<Fn>,
+                                    &destroy_thunk<Fn>, a.block};
+    new (payload_of(n)) Fn(std::forward<F>(fn));
+    insert_calendar(n);
+    ++stats_.scheduled;
+    if (++pending_ > stats_.peak_pending) stats_.peak_pending = pending_;
   }
 
   /// Schedules `fn` `delay` microseconds from now. A delay that would
@@ -111,9 +90,9 @@ class EventQueue {
     schedule_at(t, std::forward<F>(fn));
   }
 
-  /// Burst pre-sizing: guarantees capacity for `events` more typical
-  /// schedules without growth (heap: backing vector; calendar: arena
-  /// slabs). Used ahead of wlm/k8s job-submission and trace fan-outs.
+  /// Burst pre-sizing: guarantees arena capacity for `events` more
+  /// typical schedules without opening new slabs. Used ahead of wlm/k8s
+  /// job-submission and trace fan-outs.
   void reserve(std::size_t events);
 
   /// Runs the single next event. Returns false if the queue is empty.
@@ -141,7 +120,6 @@ class EventQueue {
   void publish_stats();
 
  private:
-  // ----- calendar kernel
   struct EventNode {
     SimTime time;
     std::uint64_t seq;
@@ -180,37 +158,16 @@ class EventQueue {
   EventNode* locate_next();
   void load_window(std::uint64_t w);
   void rewind_to(std::uint64_t w);
-  void run_calendar_event(EventNode* n);
-
-  // ----- heap kernel (HPCC_SIM_QUEUE=heap baseline)
-  struct HeapEvent {
-    SimTime time;
-    std::uint64_t seq;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const HeapEvent& a, const HeapEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  void push_heap_event(SimTime t, Callback fn);
-  void run_heap_event();
-
-  void note_scheduled() {
-    ++stats_.scheduled;
-    if (++pending_ > stats_.peak_pending) stats_.peak_pending = pending_;
-  }
+  void run_event(EventNode* n);
 
   static constexpr std::size_t kNumBuckets = 2048;
   /// Nominal per-event arena footprint reserve() assumes (header plus a
   /// typical capture of a few words).
   static constexpr std::size_t kReservedEventBytes = 128;
 
-  QueueImpl impl_;
-  SimDuration width_;  ///< calendar bucket width in simulated us
+  SimDuration width_;  ///< bucket width in simulated us
 
-  // Calendar state: the wheel covers window `wheel_window_` (absolute
+  // The wheel covers window `wheel_window_` (absolute
   // bucket range [w * kNumBuckets, (w+1) * kNumBuckets)); `cursor_` is
   // the scan position inside it. Everything later parks in overflow_,
   // batched per window.
@@ -220,11 +177,6 @@ class EventQueue {
   std::size_t cursor_ = 0;
   std::size_t wheel_count_ = 0;
   std::map<std::uint64_t, std::vector<EventNode*>> overflow_;
-
-  // Heap state (raw vector + push_heap/pop_heap: pop parks the minimum
-  // at the back where the Callback moves out, and the storage can be
-  // reserve()d ahead of bursts).
-  std::vector<HeapEvent> heap_;
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;

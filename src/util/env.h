@@ -1,8 +1,8 @@
 // hpcc/util/env.h
 //
-// Shared environment-variable parsing for the numeric HPCC_* knobs
-// (HPCC_THREADS, HPCC_FAULT_SEED, HPCC_CONTROL_EPOCH_MS and the
-// resilience knobs).
+// Shared environment-variable parsing for the numeric HPCC_* knobs,
+// HPCC_THREADS and HPCC_FAULT_SEED. The other two knobs, HPCC_TRACE and
+// HPCC_METRICS, are paths and go through obs::Config::from_env.
 // Every site used to hand-roll std::getenv + strtol with different
 // answers for "0", "abc" and "16x" — env_uint gives them one contract.
 #pragma once

@@ -1,8 +1,7 @@
 // tests/control_test.cpp — the closed-loop control plane suite
 // (DESIGN.md §15). Covers: StepGuard properties (a deadband-dithering
 // or boundary-sitting signal never actuates, steps are bounded and
-// clamped), DeltaTracker rate extraction, config-from-env plumbing,
-// controller epoch scheduling on the sim::EventQueue, per-policy
+// clamped), DeltaTracker rate extraction, controller epoch scheduling on the sim::EventQueue, per-policy
 // steering behavior (prefetch ramps on sequential patterns, tier
 // sizing follows eviction pressure under a conserved budget, routing
 // flips to origin-first on degraded proxy EWMAs, engine selection
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -60,18 +58,12 @@ using fault::FaultKind;
 using fault::FaultPlan;
 using fault::FaultSpec;
 
-// Every test starts and ends with both global planes off, so suite
-// order and ctest sharding can never leak state between cases.
+// Every test starts and ends with the obs plane off, so suite order and
+// ctest sharding can never leak state between cases.
 class CtrlEnv : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::reset();
-    control::reset();
-  }
-  void TearDown() override {
-    obs::reset();
-    control::reset();
-  }
+  void SetUp() override { obs::reset(); }
+  void TearDown() override { obs::reset(); }
 };
 
 // ----------------------------------------------------------- StepGuard
@@ -152,43 +144,6 @@ TEST(CtrlDelta, RatesNotTotals) {
   snap.counters["x"] = 10;              // registry cleared between runs
   EXPECT_EQ(d.delta(snap, "x"), 10u);   // baseline resets, no underflow
   EXPECT_EQ(d.delta(snap, "missing"), 0u);
-}
-
-// ---------------------------------------------------- config from env
-
-TEST_F(CtrlEnv, FromEnvUnsetReturnsFallback) {
-  ::unsetenv("HPCC_CONTROL");
-  ::unsetenv("HPCC_CONTROL_EPOCH_MS");
-  EXPECT_FALSE(control::Config::from_env().enabled);
-  control::Config fb;
-  fb.enabled = true;
-  fb.epoch = msec(123);
-  const auto cfg = control::Config::from_env(fb);
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.epoch, msec(123));
-}
-
-TEST_F(CtrlEnv, FromEnvEnablesAndReadsEpoch) {
-  ::setenv("HPCC_CONTROL", "1", 1);
-  ::setenv("HPCC_CONTROL_EPOCH_MS", "50", 1);
-  auto cfg = control::Config::from_env();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.epoch, msec(50));
-  ::setenv("HPCC_CONTROL", "0", 1);
-  EXPECT_FALSE(control::Config::from_env().enabled);
-  ::unsetenv("HPCC_CONTROL");
-  ::unsetenv("HPCC_CONTROL_EPOCH_MS");
-}
-
-TEST_F(CtrlEnv, ConfigureMirrorsTheAtomicGate) {
-  EXPECT_FALSE(control::enabled());
-  control::Config on;
-  on.enabled = true;
-  control::configure(on);
-  EXPECT_TRUE(control::enabled());
-  EXPECT_EQ(control::config().epoch, msec(500));
-  control::reset();
-  EXPECT_FALSE(control::enabled());
 }
 
 // ----------------------------------------------------------- Controller

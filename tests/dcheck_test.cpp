@@ -561,22 +561,6 @@ TEST_F(DcheckConfigTest, OffByDefaultAndAnnotationsAreInert) {
   EXPECT_TRUE(dcheck::perturbed_order(8).empty());
 }
 
-TEST_F(DcheckConfigTest, ConfigFromEnvReadsTheGateAndSeed) {
-  ::setenv("HPCC_DCHECK", "1", 1);
-  ::setenv("HPCC_DCHECK_PERTURB", "1", 1);
-  ::setenv("HPCC_DCHECK_SEED", "777", 1);
-  const auto cfg = dcheck::Config::from_env();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_TRUE(cfg.perturb);
-  EXPECT_EQ(cfg.seed, 777u);
-  ::setenv("HPCC_DCHECK", "0", 1);
-  EXPECT_FALSE(dcheck::Config::from_env().enabled);
-  ::unsetenv("HPCC_DCHECK");
-  ::unsetenv("HPCC_DCHECK_PERTURB");
-  ::unsetenv("HPCC_DCHECK_SEED");
-  EXPECT_FALSE(dcheck::Config::from_env().enabled);
-}
-
 TEST_F(DcheckConfigTest, PerturbedOrderIsASeededPermutation) {
   enable(/*perturb=*/true, /*seed=*/5);
   const auto a = dcheck::perturbed_order(16);

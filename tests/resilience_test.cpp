@@ -9,9 +9,9 @@
 // the same seed reproduces the same admissions and completion times.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -191,16 +191,21 @@ TEST(ResilBreaker, EachHealthValuePublishesUnderOneName) {
   metrics_on.metrics = true;
   obs::configure(metrics_on);
 
-  // An enabled breaker publishes on every outcome: one gauge per value.
+  // An enabled breaker publishes on every outcome: one gauge per value,
+  // the state beside (not inside) the fault.health. sensor family.
   CircuitBreaker b("ep", test_breaker(3));
   b.on_success(sec(1), msec(20));
   b.on_failure(sec(2));
   const auto gauges = obs::metrics().snapshot().gauges;
-  for (const std::string value : {"error_bp", "latency_us"}) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"error_bp", "fault.health.ep.error_bp"},
+      {"latency_us", "fault.health.ep.latency_us"},
+      {"state", "fault.breaker.ep.state"}};
+  for (const auto& [value, expected] : cases) {
     std::vector<std::string> names;
     for (const auto& [name, v] : gauges)
       if (name.find(value) != std::string::npos) names.push_back(name);
-    EXPECT_EQ(names, std::vector<std::string>{"fault.health.ep." + value});
+    EXPECT_EQ(names, std::vector<std::string>{expected});
   }
 
   // Every breaker a client or proxy builds carries an endpoint name.
@@ -751,34 +756,6 @@ TEST(ResilTier, OpenTierBreakerSkipsTheTierAndRecovers) {
   EXPECT_EQ(probed.tier, 0u);
   EXPECT_TRUE(probed.cache_hit);
   EXPECT_EQ(chain->tier_breaker_state(0), BreakerState::kClosed);
-}
-
-// ------------------------------------------------------------- env plumbing
-
-TEST(ResilEnv, KnobsSelectStandardConfigs) {
-  ::setenv("HPCC_BREAKER", "1", 1);
-  ::setenv("HPCC_HEDGE_PCT", "95", 1);
-  ::setenv("HPCC_SHED_QPS", "50", 1);
-  const BreakerConfig b = BreakerConfig::from_env();
-  EXPECT_TRUE(b.enabled);
-  const HedgePolicy h = HedgePolicy::from_env();
-  EXPECT_TRUE(h.enabled());
-  EXPECT_DOUBLE_EQ(h.percentile, 0.95);
-  const AdmissionConfig a = AdmissionConfig::from_env();
-  EXPECT_TRUE(a.enabled);
-  EXPECT_DOUBLE_EQ(a.rate_per_sec, 50.0);
-
-  ::setenv("HPCC_BREAKER", "0", 1);
-  ::setenv("HPCC_HEDGE_PCT", "0", 1);
-  ::setenv("HPCC_SHED_QPS", "0", 1);
-  EXPECT_FALSE(BreakerConfig::from_env(BreakerConfig::standard()).enabled);
-  EXPECT_FALSE(HedgePolicy::from_env().enabled());
-  EXPECT_FALSE(AdmissionConfig::from_env(AdmissionConfig::standard()).enabled);
-
-  ::unsetenv("HPCC_BREAKER");
-  ::unsetenv("HPCC_HEDGE_PCT");
-  ::unsetenv("HPCC_SHED_QPS");
-  EXPECT_FALSE(BreakerConfig::from_env().enabled);  // unset => fallback
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "heap_event_queue.h"
 #include "sim/cluster.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
@@ -122,32 +123,28 @@ TEST(EventQueueTest, StepMovesCallbackOutOfTheHeap) {
 }
 
 TEST(EventQueueTest, ScheduleAfterOverflowClampsToMax) {
-  for (QueueImpl impl : {QueueImpl::kCalendar, QueueImpl::kHeap}) {
-    EventQueue q(impl);
-    q.schedule_at(100, [] {});
-    q.run();  // now = 100: any max-delay add would wrap
-    SimTime fired_at = -1;
-    q.schedule_after(std::numeric_limits<SimDuration>::max(),
-                     [&] { fired_at = q.now(); });
-    q.run();
-    EXPECT_EQ(fired_at, std::numeric_limits<SimTime>::max());
-  }
+  EventQueue q;
+  q.schedule_at(100, [] {});
+  q.run();  // now = 100: any max-delay add would wrap
+  SimTime fired_at = -1;
+  q.schedule_after(std::numeric_limits<SimDuration>::max(),
+                   [&] { fired_at = q.now(); });
+  q.run();
+  EXPECT_EQ(fired_at, std::numeric_limits<SimTime>::max());
 }
 
 TEST(EventQueueTest, NegativeDelayClampsToNow) {
-  for (QueueImpl impl : {QueueImpl::kCalendar, QueueImpl::kHeap}) {
-    EventQueue q(impl);
-    q.schedule_at(50, [] {});
-    q.run();
-    SimTime fired_at = -1;
-    q.schedule_after(-100, [&] { fired_at = q.now(); });
-    q.run();
-    EXPECT_EQ(fired_at, 50);
-  }
+  EventQueue q;
+  q.schedule_at(50, [] {});
+  q.run();
+  SimTime fired_at = -1;
+  q.schedule_after(-100, [&] { fired_at = q.now(); });
+  q.run();
+  EXPECT_EQ(fired_at, 50);
 }
 
 TEST(EventQueueTest, ReservePresizesCalendarArena) {
-  EventQueue q(QueueImpl::kCalendar);
+  EventQueue q;
   q.reserve(2000);
   const auto blocks_after_reserve = q.stats().arena_blocks;
   EXPECT_GE(blocks_after_reserve, 1u);
@@ -159,7 +156,7 @@ TEST(EventQueueTest, ReservePresizesCalendarArena) {
 }
 
 TEST(EventQueueTest, ReservePresizesHeapStorage) {
-  EventQueue q(QueueImpl::kHeap);
+  HeapEventQueue q;
   q.reserve(500);
   std::vector<int> order;
   for (int i = 0; i < 500; ++i)
@@ -173,7 +170,7 @@ TEST(EventQueueTest, InsertBehindSkippedWindowKeepsOrder) {
   // run_until() makes locate_next jump the wheel over an empty gap,
   // then stops the clock inside it; a subsequent insert at `now` lands
   // in a window the wheel already passed and must still run first.
-  EventQueue q(QueueImpl::kCalendar, /*bucket_width=*/1);  // window = 2048us
+  EventQueue q(/*bucket_width=*/1);  // window = 2048us
   std::vector<int> order;
   q.schedule_at(3 * 2048, [&] { order.push_back(2); });
   q.run_until(2 * 2048 + 10);
@@ -184,7 +181,7 @@ TEST(EventQueueTest, InsertBehindSkippedWindowKeepsOrder) {
 }
 
 TEST(EventQueueTest, StatsCountSchedulingAndOverflow) {
-  EventQueue q(QueueImpl::kCalendar, /*bucket_width=*/64);
+  EventQueue q(/*bucket_width=*/64);
   q.schedule_at(10, [] {});
   q.schedule_at(3 * 64 * 2048, [] {});  // three windows out: parks
   EventQueueStats s = q.stats();
@@ -211,12 +208,13 @@ struct Rng {
   }
 };
 
-/// Drives `q` through a randomized schedule — near/far/tied/past times,
+/// Drives `q` (either kernel) through a randomized schedule — near/far/tied/past times,
 /// children scheduled from inside callbacks, a run_until pause midway —
 /// and returns the labels in execution order. Any divergence between
 /// kernels shows up as a different sequence (the byte-identical
 /// event-order contract, DESIGN.md §13).
-std::vector<std::uint64_t> exec_order(EventQueue& q, std::uint64_t seed) {
+template <class Queue>
+std::vector<std::uint64_t> exec_order(Queue& q, std::uint64_t seed) {
   Rng rng{seed | 1};
   std::vector<std::uint64_t> order;
   std::uint64_t next_label = 0;
@@ -258,11 +256,11 @@ TEST(EventQueueParity, CalendarMatchesHeapUnderRandomizedSchedules) {
   const std::uint64_t seeds[] = {1, 7, 42, 1337, 0xdeadbeef};
   const SimDuration widths[] = {1, 64, 1000, 1 << 20};
   for (const std::uint64_t seed : seeds) {
-    EventQueue heap(QueueImpl::kHeap);
+    HeapEventQueue heap;
     const auto reference = exec_order(heap, seed);
     ASSERT_GE(reference.size(), 500u);
     for (const SimDuration width : widths) {
-      EventQueue cal(QueueImpl::kCalendar, width);
+      EventQueue cal(width);
       const auto got = exec_order(cal, seed);
       ASSERT_EQ(got, reference)
           << "calendar(width=" << width << ") diverged from heap at seed "

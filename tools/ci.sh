@@ -217,10 +217,6 @@ if [[ "${SKIP_DCHECK:-}" != "1" ]]; then
   "$repo_root/build/tools/hpcc-dcheck" sweep --json --seed 42 \
     > "$repo_root/build/dcheck_sweep.json"
 
-  echo "== dcheck sweep under HPCC_SIM_QUEUE=heap (kernel-agnostic clean)"
-  HPCC_SIM_QUEUE=heap "$repo_root/build/tools/hpcc-dcheck" sweep --json \
-    --seed 42 > "$repo_root/build/dcheck_sweep_heap.json"
-
   echo "== dcheck fixtures (broken workloads must be flagged)"
   if "$repo_root/build/tools/hpcc-dcheck" fixtures --json --seed 42 \
        > "$repo_root/build/dcheck_fixtures.json"; then

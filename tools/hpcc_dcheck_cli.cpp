@@ -40,6 +40,7 @@
 #include "audit/report.h"
 #include "dcheck/dcheck.h"
 #include "dcheck/determinism.h"
+#include "heap_event_queue.h"
 #include "image/build.h"
 #include "image/convert.h"
 #include "obs/obs.h"
@@ -180,10 +181,11 @@ std::string skewed_steal_once(util::ThreadPool* pool) {
 /// Fleet flash crowd in miniature: 64 nodes pull one image, most
 /// through a site pull-through proxy and one per wave straight at the
 /// rate-limited origin (429 → reschedule at retry_at), every stage a
-/// DES completion event on the selected kernel. Returns the counters
+/// DES completion event on the kernel `Queue`. Returns the counters
 /// and a completion checksum — the bytes the §13 contract says must be
 /// identical across kernels and perturbed schedules.
-std::string fleet_flash_crowd_once(sim::QueueImpl impl) {
+template <class Queue>
+std::string fleet_flash_crowd_once() {
   registry::RegistryLimits limits;
   limits.pull_limit = 6;  // tiny window cap: the limiter engages
   limits.pull_window = sec(1);
@@ -217,7 +219,7 @@ std::string fleet_flash_crowd_once(sim::QueueImpl impl) {
   }
 
   registry::PullThroughProxy proxy("proxy.site", &origin);
-  sim::EventQueue events(impl);
+  Queue events;
 
   constexpr std::uint32_t kNodes = 64;
   std::uint64_t completions = 0;
@@ -508,8 +510,8 @@ int run_sweep(const Options& opts) {
 
   // Fleet workload: byte-identical across the two DES kernels (the §13
   // event-order contract, end-to-end) and across perturbed schedules.
-  const std::string cal = fleet_flash_crowd_once(sim::QueueImpl::kCalendar);
-  const std::string heap = fleet_flash_crowd_once(sim::QueueImpl::kHeap);
+  const std::string cal = fleet_flash_crowd_once<sim::EventQueue>();
+  const std::string heap = fleet_flash_crowd_once<sim::HeapEventQueue>();
   if (cal != heap) {
     std::fprintf(stderr,
                  "fleet workload diverged between kernels:\n"
@@ -519,7 +521,7 @@ int run_sweep(const Options& opts) {
   }
   (void)dcheck::audit_determinism(
       "fleet-flash-crowd",
-      [] { return fleet_flash_crowd_once(sim::QueueImpl::kCalendar); },
+      [] { return fleet_flash_crowd_once<sim::EventQueue>(); },
       opts.seed);
 
   // Resilience workload (§14): the breaker/failover/shedding path under
