@@ -18,6 +18,8 @@ Logger log_("k8s");
 std::string pod_key(const std::string& name, const char* phase) {
   return "pod:" + name + ":" + phase;
 }
+
+std::size_t slot(PodPhase phase) { return static_cast<std::size_t>(phase); }
 }  // namespace
 
 std::string_view to_string(PodPhase p) noexcept {
@@ -47,11 +49,25 @@ ApiServer::ApiServer(sim::EventQueue* events, SimDuration api_latency)
 void ApiServer::notify(EventKind kind, const std::string& name) {
   ++requests_;
   obs::count("k8s.api_requests");
-  events_->schedule_after(api_latency_, [this, kind, name] {
-    // Copy: watchers may register more watchers while handling.
-    const auto watchers = watchers_;
-    for (const auto& w : watchers) w(WatchEvent{kind, name});
+  events_->schedule_after(api_latency_, [this, event = WatchEvent{kind, name}] {
+    // A watcher registered while handling `event` sits past `n`, so it
+    // sees only later events.
+    const std::size_t n = watchers_.size();
+    for (std::size_t i = 0; i < n; ++i) watchers_[i](event);
   });
+}
+
+void ApiServer::set_phase(Pod& pod, PodPhase phase) {
+  by_phase_[slot(pod.phase)].erase(pod.name);
+  if (pod.phase == PodPhase::kScheduled) {
+    auto node = scheduled_by_node_.find(pod.node);
+    node->second.erase(pod.name);
+    if (node->second.empty()) scheduled_by_node_.erase(node);
+  }
+  pod.phase = phase;
+  by_phase_[slot(phase)].emplace(pod.name, &pod);
+  if (phase == PodPhase::kScheduled)
+    scheduled_by_node_[pod.node].emplace(pod.name, &pod);
 }
 
 Result<Unit> ApiServer::create_pod(const std::string& name, PodSpec spec) {
@@ -64,7 +80,8 @@ Result<Unit> ApiServer::create_pod(const std::string& name, PodSpec spec) {
   if (obs::tracing_enabled())
     obs::tracer().async_begin(obs::Category::kK8s, pod_key(name, "pending"),
                               pod.created);
-  pods_.emplace(name, std::move(pod));
+  Pod& stored = pods_.emplace(name, std::move(pod)).first->second;
+  by_phase_[slot(stored.phase)].emplace(stored.name, &stored);
   notify(EventKind::kPodCreated, name);
   return ok_unit();
 }
@@ -83,7 +100,7 @@ Result<Unit> ApiServer::bind_pod(const std::string& name,
                             std::string(to_string(p->phase)));
   if (!nodes_.contains(node)) return err_not_found("no node " + node);
   p->node = node;
-  p->phase = PodPhase::kScheduled;
+  set_phase(*p, PodPhase::kScheduled);
   if (obs::tracing_enabled()) {
     obs::tracer().async_end(obs::Category::kK8s, pod_key(name, "pending"),
                             events_->now());
@@ -97,7 +114,7 @@ Result<Unit> ApiServer::bind_pod(const std::string& name,
 Result<Unit> ApiServer::set_pod_phase(const std::string& name, PodPhase phase) {
   HPCC_TRY(Pod * p, pod(name));
   const bool first_run = phase == PodPhase::kRunning && p->started < 0;
-  p->phase = phase;
+  set_phase(*p, phase);
   if (phase == PodPhase::kRunning && p->started < 0)
     p->started = events_->now();
   if ((phase == PodPhase::kSucceeded || phase == PodPhase::kFailed) &&
@@ -136,9 +153,19 @@ Result<Unit> ApiServer::set_pod_phase(const std::string& name, PodPhase phase) {
 }
 
 std::vector<Pod*> ApiServer::pods_in_phase(PodPhase phase) {
+  const PodIndex& index = by_phase_[slot(phase)];
   std::vector<Pod*> out;
-  for (auto& [name, pod] : pods_)
-    if (pod.phase == phase) out.push_back(&pod);
+  out.reserve(index.size());
+  for (const auto& [name, pod] : index) out.push_back(pod);
+  return out;
+}
+
+std::vector<Pod*> ApiServer::scheduled_on(const std::string& node) {
+  std::vector<Pod*> out;
+  auto it = scheduled_by_node_.find(node);
+  if (it == scheduled_by_node_.end()) return out;
+  out.reserve(it->second.size());
+  for (const auto& [name, pod] : it->second) out.push_back(pod);
   return out;
 }
 
@@ -172,8 +199,8 @@ Result<Unit> ApiServer::fail_node(const std::string& name) {
     if (p.node != name) continue;
     if (p.phase != PodPhase::kScheduled && p.phase != PodPhase::kRunning)
       continue;
+    set_phase(p, PodPhase::kPending);  // reads the old node
     p.node.clear();
-    p.phase = PodPhase::kPending;
     p.started = -1;
     ++p.restarts;
     ++reschedules_;
@@ -307,8 +334,7 @@ void Kubelet::on_event(const WatchEvent& event) {
 }
 
 void Kubelet::maybe_run_pods() {
-  for (Pod* pod : api_->pods_in_phase(PodPhase::kScheduled)) {
-    if (pod->node != config_.node_name) continue;
+  for (Pod* pod : api_->scheduled_on(config_.node_name)) {
     const std::string name = pod->name;
     (void)api_->set_pod_phase(name, PodPhase::kRunning);
     ++pods_run_;

@@ -15,11 +15,14 @@
 // running continuously.
 #pragma once
 
+#include <array>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/container.h"
@@ -46,6 +49,8 @@ struct PodSpec {
   bool gpu = false;
 };
 
+/// `phase` and `node` are written only by the ApiServer, which indexes
+/// pods by both.
 struct Pod {
   std::string name;
   PodSpec spec;
@@ -88,7 +93,10 @@ struct WatchEvent {
 };
 
 /// The API server: typed object store + watches. All mutations dispatch
-/// watch notifications after the API round-trip latency.
+/// watch notifications after the API round-trip latency, to watchers in
+/// registration order; a watcher registered during a dispatch sees only
+/// later events. Succeeded and Failed are terminal: only an explicit
+/// set_pod_phase moves a pod out of them, and no component does.
 class ApiServer {
  public:
   ApiServer(sim::EventQueue* events, SimDuration api_latency = msec(5));
@@ -98,7 +106,10 @@ class ApiServer {
   Result<Pod*> pod(const std::string& name);
   Result<Unit> bind_pod(const std::string& name, const std::string& node);
   Result<Unit> set_pod_phase(const std::string& name, PodPhase phase);
+  /// Pods in `phase`, in name order.
   std::vector<Pod*> pods_in_phase(PodPhase phase);
+  /// Scheduled pods bound to `node`, in name order.
+  std::vector<Pod*> scheduled_on(const std::string& node);
   std::size_t num_pods() const { return pods_.size(); }
 
   // ----- nodes
@@ -128,13 +139,24 @@ class ApiServer {
   std::uint64_t api_requests() const { return requests_; }
 
  private:
+  /// Name-ordered pod index; keys view `Pod::name`.
+  using PodIndex = std::map<std::string_view, Pod*>;
+
   void notify(EventKind kind, const std::string& name);
+  /// The one writer of `Pod::phase`: moves the pod between indexes.
+  void set_phase(Pod& pod, PodPhase phase);
 
   sim::EventQueue* events_;
   SimDuration api_latency_;
   std::map<std::string, Pod> pods_;
+  std::array<PodIndex, static_cast<std::size_t>(PodPhase::kFailed) + 1>
+      by_phase_;
+  /// Scheduled pods by bound node; a node with none has no entry.
+  std::map<std::string, PodIndex> scheduled_by_node_;
   std::map<std::string, NodeStatus> nodes_;
-  std::vector<Watcher> watchers_;
+  /// A deque: registering a watcher moves none of the others, so a
+  /// dispatch can call them in place.
+  std::deque<Watcher> watchers_;
   std::uint64_t requests_ = 0;
   std::uint64_t reschedules_ = 0;
 };

@@ -125,8 +125,10 @@ class ScenarioBase : public IntegrationScenario {
   bool all_done(const WorkloadTrace& trace, k8s::ApiServer* api,
                 wlm::SlurmWlm* wlm) {
     if (api) {
-      for (const auto& p : trace.pods) {
-        auto pod = api->pod(p.name);
+      // Succeeded and Failed are terminal, so the pods before the cursor
+      // are never looked up again.
+      for (; pods_done_ < trace.pods.size(); ++pods_done_) {
+        auto pod = api->pod(trace.pods[pods_done_].name);
         if (!pod.ok()) return false;  // not yet created
         if (pod.value()->phase != k8s::PodPhase::kSucceeded &&
             pod.value()->phase != k8s::PodPhase::kFailed)
@@ -292,6 +294,8 @@ class ScenarioBase : public IntegrationScenario {
   std::map<std::string, LedgerJob> ledger_;
   /// Cap applied to trace job sizes (static partitioning shrinks it).
   std::uint32_t hpc_node_budget_ = 0xffffffff;
+  /// all_done's cursor: trace pods before it reached a terminal phase.
+  std::size_t pods_done_ = 0;
 };
 
 // ===================================================== StaticPartitioning
@@ -513,15 +517,16 @@ class WlmInK8sScenario final : public ScenarioBase {
  private:
   void track_job(k8s::ControlPlane& cp, const std::string& key,
                  std::uint32_t ranks) {
-    cp.api().watch([this, &cp, key, ranks](const k8s::WatchEvent& e) {
+    cp.api().watch([this, &cp, key, ranks, prefix = key + "-rank"](
+                       const k8s::WatchEvent& e) {
       if (e.kind != k8s::EventKind::kPodUpdated) return;
-      if (e.object_name.rfind(key + "-rank", 0) != 0) return;
+      if (!e.object_name.starts_with(prefix)) return;
       LedgerJob& lj = ledger_[key];
       if (lj.done) return;
       SimTime first_start = -1, last_end = -1;
       std::uint32_t running_or_done = 0, done = 0;
       for (std::uint32_t r = 0; r < ranks; ++r) {
-        auto pod = cp.api().pod(key + "-rank" + std::to_string(r));
+        auto pod = cp.api().pod(prefix + std::to_string(r));
         if (!pod.ok()) return;
         const auto& p = *pod.value();
         if (p.started >= 0) {
@@ -692,6 +697,12 @@ class K8sInWlmScenario final : public ScenarioBase {
               }
             });
         for (const auto& p : pods) {
+          if (p.submit > events().now()) {
+            events().schedule_at(p.submit, [session, p] {
+              (void)session->cp->api().create_pod(p.name, p.spec);
+            });
+            continue;
+          }
           // Pods submitted before the cluster was ready were waiting
           // on the user's side; latency counts from original submit.
           (void)session->cp->api().create_pod(p.name, p.spec);

@@ -1,11 +1,14 @@
-// Tests for hpcc_k8s: API-server object store and watches, scheduler
-// binding with capacity tracking, kubelet lifecycle (registration,
-// pod execution, cgroup-delegation precondition), and control-plane
-// bring-up profiles (K8s vs K3s).
+// Tests for hpcc_k8s: API-server object store, phase/node indexes and
+// watches, scheduler binding with capacity tracking, kubelet lifecycle
+// (registration, pod execution, cgroup-delegation precondition), and
+// control-plane bring-up profiles (K8s vs K3s).
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "k8s/k8s.h"
 #include "util/log.h"
+#include "util/rng.h"
 
 namespace hpcc::k8s {
 namespace {
@@ -60,6 +63,144 @@ TEST_F(K8sTest, WatchersNotifiedAfterApiLatency) {
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], "p1");
   EXPECT_EQ(events.now(), msec(5));
+}
+
+TEST_F(K8sTest, WatcherRegisteredDuringDispatchSeesOnlyLaterEvents) {
+  struct Log {
+    ApiServer api;
+    std::vector<std::string> seen;
+    std::size_t late_calls = 0;
+  } log{ApiServer(&events), {}};
+  // One captured reference: std::function keeps this watcher inline, so
+  // watcher storage that moved it while it runs would free the capture
+  // it reads after registering (ASan reports that).
+  log.api.watch([&log](const WatchEvent& e) {
+    if (e.object_name == "p1") {
+      // Enough registrations to regrow any contiguous watcher storage.
+      for (int i = 0; i < 64; ++i)
+        log.api.watch([&log](const WatchEvent& late) {
+          ++log.late_calls;
+          log.seen.push_back("late:" + late.object_name);
+        });
+    }
+    log.seen.push_back("first:" + e.object_name);
+  });
+  log.api.watch([&log](const WatchEvent& e) {
+    log.seen.push_back("second:" + e.object_name);
+  });
+
+  ASSERT_TRUE(log.api.create_pod("p1", PodSpec{}).ok());
+  events.run();
+  EXPECT_EQ(log.late_calls, 0u);
+  ASSERT_TRUE(log.api.create_pod("p2", PodSpec{}).ok());
+  events.run();
+  EXPECT_EQ(log.late_calls, 64u);
+  // Registration order: the two original watchers, then the late ones.
+  const auto& seen = log.seen;
+  ASSERT_EQ(seen.size(), 2u + 2u + 64u);
+  EXPECT_EQ(seen[0], "first:p1");
+  EXPECT_EQ(seen[1], "second:p1");
+  EXPECT_EQ(seen[2], "first:p2");
+  EXPECT_EQ(seen[3], "second:p2");
+  EXPECT_EQ(seen[4], "late:p2");
+  EXPECT_EQ(seen.back(), "late:p2");
+}
+
+std::vector<std::string> names_of(const std::vector<Pod*>& pods) {
+  std::vector<std::string> out;
+  for (const Pod* p : pods) out.push_back(p->name);
+  return out;
+}
+
+TEST_F(K8sTest, PhaseAndNodeIndexesMatchBruteForce) {
+  const std::vector<std::string> nodes = {"n0", "n1", "n2"};
+  const std::vector<PodPhase> phases = {PodPhase::kPending,
+                                        PodPhase::kScheduled,
+                                        PodPhase::kRunning,
+                                        PodPhase::kSucceeded,
+                                        PodPhase::kFailed};
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::EventQueue q;
+    ApiServer api(&q);
+    for (const auto& n : nodes) {
+      NodeStatus status;
+      status.name = n;
+      status.capacity_cores = 1024;
+      status.ready = true;
+      ASSERT_TRUE(api.register_node(status).ok());
+    }
+    std::set<std::string> created;  // name order, like the indexes
+    // Brute force: filter every created pod, in name order.
+    auto where = [&](const std::function<bool(const Pod&)>& keep) {
+      std::vector<std::string> out;
+      for (const auto& name : created)
+        if (keep(*api.pod(name).value())) out.push_back(name);
+      return out;
+    };
+    auto check = [&](const std::string& step) {
+      for (PodPhase ph : phases)
+        ASSERT_EQ(names_of(api.pods_in_phase(ph)),
+                  where([ph](const Pod& p) { return p.phase == ph; }))
+            << step << ", phase " << to_string(ph);
+      for (const auto& n : nodes)
+        ASSERT_EQ(names_of(api.scheduled_on(n)), where([&n](const Pod& p) {
+                    return p.phase == PodPhase::kScheduled && p.node == n;
+                  }))
+            << step << ", node " << n;
+    };
+    auto create = [&](const std::string& name) {
+      if (api.create_pod(name, PodSpec{}).ok()) created.insert(name);
+    };
+
+    // Scripted: n0 holds a Scheduled and a Running pod when it fails,
+    // and a pod is set to the phase it already has.
+    create("s2");
+    create("s1");
+    create("s3");
+    ASSERT_TRUE(api.bind_pod("s2", "n0").ok());
+    ASSERT_TRUE(api.bind_pod("s1", "n0").ok());
+    ASSERT_TRUE(api.bind_pod("s3", "n1").ok());
+    ASSERT_TRUE(api.set_pod_phase("s1", PodPhase::kRunning).ok());
+    check("scripted binds");
+    ASSERT_TRUE(api.set_pod_phase("s2", PodPhase::kScheduled).ok());
+    check("same-phase set");
+    ASSERT_TRUE(api.fail_node("n0").ok());
+    EXPECT_EQ(api.pod("s1").value()->phase, PodPhase::kPending);
+    EXPECT_EQ(api.pod("s2").value()->phase, PodPhase::kPending);
+    check("fail_node n0");
+
+    Rng rng(seed);
+    auto any_pod = [&] {
+      auto it = created.begin();
+      std::advance(it, rng.next_below(created.size()));
+      return *it;
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::string& node = nodes[rng.next_below(nodes.size())];
+      switch (rng.next_below(8)) {
+        case 0:
+        case 1:
+          create("p" + std::to_string(rng.next_below(100)));
+          break;
+        case 2:
+        case 3:
+        case 4:
+          (void)api.bind_pod(any_pod(), node);
+          break;
+        case 5:
+        case 6:
+          (void)api.set_pod_phase(any_pod(),
+                                  phases[rng.next_below(phases.size())]);
+          break;
+        default:
+          (void)api.fail_node(node);
+          break;
+      }
+      check("step " + std::to_string(step));
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST_F(K8sTest, CapacityReservation) {

@@ -202,6 +202,40 @@ TEST_F(OrchTest, BridgeSlowerThanKnoc) {
   EXPECT_GE(bridge.mean_pod_start_latency, knoc.mean_pod_start_latency);
 }
 
+// A pod cannot start before it arrives, so every scenario's mean and
+// p95 pod start latency are non-negative. The dense pod stream keeps
+// k8s-in-wlm sessions open long after their control plane is ready,
+// and 64-core nodes leave room to start the pods that arrive after it
+// at once.
+class PodStartProperty : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  PodStartProperty() { LogSink::instance().set_print(false); }
+  ~PodStartProperty() override { LogSink::instance().set_print(true); }
+};
+
+TEST_P(PodStartProperty, NoScenarioStartsAPodBeforeItArrives) {
+  TraceConfig dense = small_trace_config();
+  dense.duration = minutes(60);
+  dense.pod_rate_per_hour = 240;
+  const auto trace = generate_trace(GetParam(), dense);
+  ScenarioConfig cfg = small_scenario_config();
+  cfg.cores_per_node = 64;
+  cfg.seed = GetParam();
+  for (ScenarioKind kind : all_scenario_kinds()) {
+    const auto m = make_scenario(kind, cfg)->run(trace);
+    ASSERT_TRUE(m.ok()) << to_string(kind);
+    EXPECT_GT(m.value().pods_completed, 0u) << to_string(kind);
+    EXPECT_GE(m.value().mean_pod_start_latency, 0) << to_string(kind);
+    EXPECT_GE(m.value().p95_pod_start_latency, 0) << to_string(kind);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PodStartProperty, ::testing::Values(1, 2, 3),
+    [](const ::testing::TestParamInfo<std::uint64_t>& info) {
+      return "seed" + std::to_string(info.param);
+    });
+
 TEST_F(OrchTest, WlmInK8sJobsPayOverhead) {
   const auto m = run_kind(ScenarioKind::kWlmInK8s);
   EXPECT_GT(m.jobs_completed, 0u);

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Local CI entry point: builds the normal and sanitizer configurations
 # and runs the full test suite under both, plus a ThreadSanitizer pass
-# over the concurrency tests and a quick parallel-pipeline bench smoke.
+# over the concurrency tests, quick bench smokes and a one-second run of
+# each perfbench workload.
 #
 #   tools/ci.sh              # build + ctest, ASan/UBSan, TSan, bench smoke
 #   SKIP_SAN=1 tools/ci.sh   # skip the ASan/UBSan configuration
 #   SKIP_TSAN=1 tools/ci.sh  # skip the ThreadSanitizer configuration
-#   SKIP_BENCH=1 tools/ci.sh # skip the bench smoke
+#   SKIP_BENCH=1 tools/ci.sh # skip the bench and perfbench smokes
 #   SKIP_CHAOS=1 tools/ci.sh # skip the chaos-fleet resilience gate
 #   SKIP_CONTROL=1 tools/ci.sh # skip the closed-loop control smoke
 #   SKIP_OBS=1 tools/ci.sh   # skip the observability trace validation
@@ -92,6 +93,27 @@ if [[ "${SKIP_BENCH:-}" != "1" ]]; then
   cmake --build "$repo_root/build" -j "$jobs" --target bench_cache_hierarchy
   "$repo_root/build/bench/bench_cache_hierarchy" --quick \
     --json "$repo_root/build/BENCH_cache_hierarchy.json"
+fi
+
+# Benchmark smoke: one untraced second of each perfbench workload at
+# seed 1. A workload checks itself (same-seed passes identical, no
+# negative mean pod start, no failed ops); its last line must report
+# "correct": true and "failed": 0.
+if [[ "${SKIP_BENCH:-}" != "1" ]]; then
+  for workload in pull_storm container_start site_sched; do
+    echo "== perfbench smoke ($workload, seed 1, 1 s)"
+    result="$(cd "$repo_root" && python3 perfbench/run.py \
+      --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    python3 - "$workload" "$result" <<'EOF'
+import json, sys
+
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit(f"perfbench {workload}: correct={result['correct']} "
+             f"failed={result['failed']} of {result['attempted']}")
+print(f"perfbench {workload}: correct, {result['attempted']} ops, 0 failed")
+EOF
+  done
 fi
 
 # Chaos smoke: seeded WAN fault plans at up to 10% per-transfer rate
