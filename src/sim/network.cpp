@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "sim/event_queue.h"
-
 namespace hpcc::sim {
 
 Network::Network(std::uint32_t num_nodes, NetworkConfig config)
@@ -88,20 +86,6 @@ SimTime Network::transfer_estimate(SimTime now, NodeId src, NodeId dst,
 SimTime Network::message(SimTime now, NodeId src, NodeId dst) {
   if (src == dst) return now + 1;
   return transfer(now, src, dst, 256) ;  // small control payload
-}
-
-void Network::transfer_async(EventQueue& events, NodeId src, NodeId dst,
-                             std::uint64_t bytes,
-                             std::function<void(SimTime)> on_done) {
-  const SimTime done = transfer(events.now(), src, dst, bytes);
-  events.schedule_at(done, [done, cb = std::move(on_done)] { cb(done); });
-}
-
-void Network::wan_transfer_async(EventQueue& events, NodeId node,
-                                 std::uint64_t bytes,
-                                 std::function<void(SimTime)> on_done) {
-  const SimTime done = wan_transfer(events.now(), node, bytes);
-  events.schedule_at(done, [done, cb = std::move(on_done)] { cb(done); });
 }
 
 Result<SimTime> Network::try_transfer(SimTime now, NodeId src, NodeId dst,

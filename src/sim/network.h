@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "fault/fault.h"
@@ -17,8 +16,6 @@
 #include "util/sim_time.h"
 
 namespace hpcc::sim {
-
-class EventQueue;
 
 using NodeId = std::uint32_t;
 
@@ -58,19 +55,6 @@ class Network {
 
   /// A zero-payload control message (RPC, heartbeat, watch notification).
   SimTime message(SimTime now, NodeId src, NodeId dst);
-
-  /// Event-driven completion: charges the transfer at `events.now()`
-  /// and schedules `on_done(delivery_time)` on the DES kernel at that
-  /// time — the §13 API fleet-scale drivers chain pull stages through
-  /// instead of threading completion times by hand.
-  void transfer_async(EventQueue& events, NodeId src, NodeId dst,
-                      std::uint64_t bytes,
-                      std::function<void(SimTime)> on_done);
-
-  /// Same, through the shared WAN uplink.
-  void wan_transfer_async(EventQueue& events, NodeId node,
-                          std::uint64_t bytes,
-                          std::function<void(SimTime)> on_done);
 
   /// Installs a fault injector consulted by the try_* variants below.
   /// Null (the default) or an injector with an empty plan leaves every

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/event_queue.h"
-
 namespace hpcc::sim {
 
 SharedFilesystem::SharedFilesystem(SharedFsConfig config)
@@ -32,18 +30,6 @@ SimTime SharedFilesystem::write(SimTime now, std::uint64_t bytes) {
   return data_.submit(now, transfer_service(bytes));
 }
 
-void SharedFilesystem::read_async(EventQueue& events, std::uint64_t bytes,
-                                  std::function<void(SimTime)> on_done) {
-  const SimTime done = read(events.now(), bytes);
-  events.schedule_at(done, [done, cb = std::move(on_done)] { cb(done); });
-}
-
-void SharedFilesystem::write_async(EventQueue& events, std::uint64_t bytes,
-                                   std::function<void(SimTime)> on_done) {
-  const SimTime done = write(events.now(), bytes);
-  events.schedule_at(done, [done, cb = std::move(on_done)] { cb(done); });
-}
-
 void SharedFilesystem::reset_stats() {
   meta_.reset();
   data_.reset();
@@ -63,18 +49,6 @@ SimTime NodeLocalStorage::read(SimTime now, std::uint64_t bytes) {
 
 SimTime NodeLocalStorage::write(SimTime now, std::uint64_t bytes) {
   return read(now, bytes);  // symmetric device model
-}
-
-void NodeLocalStorage::read_async(EventQueue& events, std::uint64_t bytes,
-                                  std::function<void(SimTime)> on_done) {
-  const SimTime done = read(events.now(), bytes);
-  events.schedule_at(done, [done, cb = std::move(on_done)] { cb(done); });
-}
-
-void NodeLocalStorage::write_async(EventQueue& events, std::uint64_t bytes,
-                                   std::function<void(SimTime)> on_done) {
-  const SimTime done = write(events.now(), bytes);
-  events.schedule_at(done, [done, cb = std::move(on_done)] { cb(done); });
 }
 
 bool NodeLocalStorage::reserve(std::uint64_t bytes) {

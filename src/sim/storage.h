@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -29,8 +28,6 @@
 #include "util/sim_time.h"
 
 namespace hpcc::sim {
-
-class EventQueue;
 
 struct SharedFsConfig {
   /// Service time of one metadata op (open/stat/lookup) at the server.
@@ -61,13 +58,6 @@ class SharedFilesystem {
 
   /// Writes `bytes` (image conversion output, overlay upper dirs, ...).
   SimTime write(SimTime now, std::uint64_t bytes);
-
-  /// Event-driven completions: charge the op at `events.now()` and
-  /// schedule `on_done(completion_time)` on the DES kernel.
-  void read_async(EventQueue& events, std::uint64_t bytes,
-                  std::function<void(SimTime)> on_done);
-  void write_async(EventQueue& events, std::uint64_t bytes,
-                   std::function<void(SimTime)> on_done);
 
   const SharedFsConfig& config() const { return config_; }
   std::uint64_t metadata_ops() const { return meta_.requests(); }
@@ -101,12 +91,6 @@ class NodeLocalStorage {
 
   SimTime read(SimTime now, std::uint64_t bytes);
   SimTime write(SimTime now, std::uint64_t bytes);
-
-  /// Event-driven completions mirroring SharedFilesystem's.
-  void read_async(EventQueue& events, std::uint64_t bytes,
-                  std::function<void(SimTime)> on_done);
-  void write_async(EventQueue& events, std::uint64_t bytes,
-                   std::function<void(SimTime)> on_done);
 
   /// Reserve/release capacity for stored artifacts.
   bool reserve(std::uint64_t bytes);

@@ -15,8 +15,6 @@ CacheHierarchy::~CacheHierarchy() { drain_prefetches(); }
 
 void CacheHierarchy::add_tier(std::unique_ptr<ChunkSource> tier) {
   dcheck::AnnotatedLock lock(mu_, "cachehierarchy.mu");
-  tier_breakers_.emplace_back(
-      "tier-" + std::string(tier->name()), tier_breaker_cfg_);
   tiers_.push_back(std::move(tier));
   stats_.emplace_back();
   tier_faults_.push_back(0);
@@ -36,21 +34,6 @@ void CacheHierarchy::set_quarantine_threshold(std::uint32_t threshold) {
 bool CacheHierarchy::quarantined(std::size_t tier) const {
   dcheck::AnnotatedLock lock(mu_, "cachehierarchy.mu");
   return tier < quarantined_.size() && quarantined_[tier];
-}
-
-void CacheHierarchy::set_tier_breaker_config(const fault::BreakerConfig& cfg) {
-  dcheck::AnnotatedLock lock(mu_, "cachehierarchy.mu");
-  tier_breaker_cfg_ = cfg;
-  for (std::size_t i = 0; i < tier_breakers_.size(); ++i) {
-    tier_breakers_[i] =
-        fault::CircuitBreaker("tier-" + std::string(tiers_[i]->name()), cfg);
-  }
-}
-
-fault::BreakerState CacheHierarchy::tier_breaker_state(std::size_t tier) const {
-  dcheck::AnnotatedLock lock(mu_, "cachehierarchy.mu");
-  return tier < tier_breakers_.size() ? tier_breakers_[tier].state()
-                                      : fault::BreakerState::kClosed;
 }
 
 void CacheHierarchy::clear_quarantine() {
@@ -121,20 +104,6 @@ ReadOutcome CacheHierarchy::read(SimTime now, const ChunkRequest& req) {
       tier_count(i, "degraded_reads");
       continue;
     }
-    // Tier health is consulted before the tier is probed: an open
-    // breaker skips it like quarantine does, but recovers on its own
-    // through half-open probes once the cooldown elapses.
-    if (tier_breakers_[i].enabled() && !tier_breakers_[i].allow(now)) {
-      ++stats_[i].misses;
-      ++stats_[i].degraded_reads;
-      tier_count(i, "misses");
-      tier_count(i, "degraded_reads");
-      if (traced)
-        obs::tracer().instant(obs::Category::kStorage,
-                              "breaker-skip:" + std::string(tiers_[i]->name()),
-                              now);
-      continue;
-    }
     if (tiers_[i]->holds(req.key)) {
       fault::Decision d;
       if (faults_ != nullptr && faults_->enabled())
@@ -148,7 +117,6 @@ ReadOutcome CacheHierarchy::read(SimTime now, const ChunkRequest& req) {
           obs::tracer().instant(
               obs::Category::kStorage,
               "fault:" + std::string(tiers_[i]->name()), now);
-        tier_breakers_[i].on_failure(now);
         if (quarantine_threshold_ > 0 &&
             ++tier_faults_[i] >= quarantine_threshold_) {
           quarantined_[i] = true;
@@ -188,7 +156,6 @@ ReadOutcome CacheHierarchy::read(SimTime now, const ChunkRequest& req) {
     out.done = done;
     stats_[serving].bytes_served += req.bytes;
     tier_count(serving, "bytes_served", req.bytes);
-    tier_breakers_[serving].on_success(out.done, out.done - now);
   } else {
     // The terminal always serves — it is the ground truth below every
     // cache, so it is never fault-checked here; its failures belong to
@@ -217,9 +184,6 @@ ReadOutcome CacheHierarchy::read(SimTime now, const ChunkRequest& req) {
   // accounting only — the bytes rode the transfer just charged.
   for (std::size_t i = 0; i < serving; ++i) {
     if (!tiers_[i]->is_cache() || quarantined_[i]) continue;
-    if (tier_breakers_[i].enabled() &&
-        tier_breakers_[i].state() == fault::BreakerState::kOpen)
-      continue;
     stats_[i].evictions += tiers_[i]->admit(req.key, req.cache_bytes());
     stats_[i].bytes_admitted += req.cache_bytes();
     tier_count(i, "bytes_admitted", req.cache_bytes());
@@ -306,11 +270,6 @@ void CacheHierarchy::admit_prefetched(const ChunkRequest& req) {
   bool admitted = false;
   for (std::size_t i = 0; i < tiers_.size(); ++i) {
     if (!tiers_[i]->is_cache() || quarantined_[i]) continue;
-    // Prefetch is untimed, so the raw stored breaker state gates it: an
-    // open tier takes no admissions until a timed read probes it back.
-    if (tier_breakers_[i].enabled() &&
-        tier_breakers_[i].state() == fault::BreakerState::kOpen)
-      continue;
     stats_[i].evictions += tiers_[i]->admit(req.key, req.cache_bytes());
     stats_[i].bytes_admitted += req.cache_bytes();
     ++stats_[i].prefetch_admits;

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "fault/resilience.h"
 #include "storage/chunk_source.h"
 #include "util/sim_time.h"
 
@@ -83,18 +82,6 @@ class CacheHierarchy {
   /// Lifts every quarantine and resets per-tier fault counts (the
   /// operator replaced the flaky device).
   void clear_quarantine();
-
-  /// Per-tier circuit breakers, consulted *before* a tier is probed:
-  /// a tier whose breaker is open is skipped like a quarantined tier
-  /// (counted lookup+miss+degraded) but — unlike quarantine, which is
-  /// permanent until clear_quarantine() — recovers on its own through
-  /// half-open probes after the cooldown. Injected storage faults at a
-  /// serving tier feed on_failure; successful serves feed on_success.
-  /// Disabled (the default) keeps the walk byte-identical to today.
-  void set_tier_breaker_config(const fault::BreakerConfig& cfg);
-  /// The raw stored breaker state for `tier` (kClosed when breakers are
-  /// not configured).
-  fault::BreakerState tier_breaker_state(std::size_t tier) const;
 
   std::size_t num_tiers() const;
 
@@ -157,8 +144,6 @@ class CacheHierarchy {
   std::uint32_t quarantine_threshold_ = 0;  // 0 = never quarantine
   std::vector<std::uint32_t> tier_faults_;
   std::vector<bool> quarantined_;
-  fault::BreakerConfig tier_breaker_cfg_;  // disabled by default
-  std::vector<fault::CircuitBreaker> tier_breakers_;
 
   util::ThreadPool* pool_ = nullptr;
   mutable std::mutex pending_mu_;  // pending_ + prefetch counters

@@ -23,9 +23,6 @@
 #include "registry/proxy.h"
 #include "registry/registry.h"
 #include "sim/network.h"
-#include "sim/storage.h"
-#include "storage/cache_hierarchy.h"
-#include "storage/tiers.h"
 
 namespace hpcc {
 namespace {
@@ -702,60 +699,6 @@ TEST(ResilProxy, OpenOriginBreakerShedsByClass) {
   ASSERT_FALSE(pf.ok());
   EXPECT_EQ(pf.error().code(), ErrorCode::kResourceExhausted);
   EXPECT_GE(proxy.shed_upstream(), 1u);
-}
-
-// -------------------------------------------------------- tier breakers
-
-TEST(ResilTier, OpenTierBreakerSkipsTheTierAndRecovers) {
-  sim::PageCache pc;
-  sim::SharedFilesystem fs;
-  auto chain = std::make_shared<storage::CacheHierarchy>();
-  chain->add_tier(storage::page_cache_tier(pc));
-  chain->add_tier(storage::shared_fs_tier(fs));
-
-  BreakerConfig cfg = BreakerConfig::standard();
-  cfg.failure_threshold = 2;
-  cfg.cooldown = sec(1);
-  cfg.probe_successes = 1;
-  cfg.probe_admit = 1.0;
-  chain->set_tier_breaker_config(cfg);
-
-  // The page-cache tier faults on every serve inside [10 ms, 1 s).
-  FaultPlan plan;
-  plan.seed = 4;
-  FaultSpec sick;
-  sick.domain = Domain::kStorage;
-  sick.kind = FaultKind::kError;
-  sick.probability = 1.0;
-  sick.window_from = msec(10);
-  sick.window_until = sec(1);
-  plan.add(sick);
-  FaultInjector inj(plan);
-  chain->set_fault_injector(&inj);
-
-  const storage::ChunkRequest req{"k", 64 << 10};
-  SimTime t = chain->read(0, req).done;  // cold: terminal serves, promotes
-  ASSERT_LT(t, msec(10));
-
-  // Two faulted serves trip the tier breaker open.
-  t = chain->read(msec(10), req).done;
-  t = chain->read(t, req).done;
-  EXPECT_EQ(chain->tier_breaker_state(0), BreakerState::kOpen);
-
-  // While open, the walk skips the tier without probing it: the terminal
-  // serves and tier 0 records a degraded miss, not a fault.
-  const auto skipped = chain->read(t, req);
-  EXPECT_EQ(skipped.tier, 1u);
-  const auto s0 = chain->tier_stats(0);
-  EXPECT_EQ(s0.hits + s0.misses, s0.lookups);
-  EXPECT_GE(s0.degraded_reads, 3u);
-
-  // Past the fault window and the cooldown, a half-open probe succeeds
-  // and closes the breaker again — no operator intervention.
-  const auto probed = chain->read(sec(2), req);
-  EXPECT_EQ(probed.tier, 0u);
-  EXPECT_TRUE(probed.cache_hit);
-  EXPECT_EQ(chain->tier_breaker_state(0), BreakerState::kClosed);
 }
 
 }  // namespace

@@ -3,13 +3,14 @@
 // and cluster reprovisioning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "heap_event_queue.h"
 #include "sim/cluster.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
@@ -143,20 +144,8 @@ TEST(EventQueueTest, NegativeDelayClampsToNow) {
   EXPECT_EQ(fired_at, 50);
 }
 
-TEST(EventQueueTest, ReservePresizesCalendarArena) {
-  EventQueue q;
-  q.reserve(2000);
-  const auto blocks_after_reserve = q.stats().arena_blocks;
-  EXPECT_GE(blocks_after_reserve, 1u);
-  // The burst the reservation promised fits without opening new slabs.
-  for (int i = 0; i < 2000; ++i) q.schedule_at(i % 50, [] {});
-  EXPECT_EQ(q.stats().arena_blocks, blocks_after_reserve);
-  q.run();
-  EXPECT_EQ(q.executed(), 2000u);
-}
-
 TEST(EventQueueTest, ReservePresizesHeapStorage) {
-  HeapEventQueue q;
+  EventQueue q;
   q.reserve(500);
   std::vector<int> order;
   for (int i = 0; i < 500; ++i)
@@ -167,35 +156,30 @@ TEST(EventQueueTest, ReservePresizesHeapStorage) {
 }
 
 TEST(EventQueueTest, InsertBehindSkippedWindowKeepsOrder) {
-  // run_until() makes locate_next jump the wheel over an empty gap,
-  // then stops the clock inside it; a subsequent insert at `now` lands
-  // in a window the wheel already passed and must still run first.
-  EventQueue q(/*bucket_width=*/1);  // window = 2048us
+  // run_until() stops the clock in an empty gap before the next event;
+  // an insert at `now` lands inside that gap and must still run first.
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(3 * 2048, [&] { order.push_back(2); });
   q.run_until(2 * 2048 + 10);
   q.schedule_at(q.now(), [&] { order.push_back(1); });
   q.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_GE(q.stats().wheel_rewinds, 1u);
 }
 
 TEST(EventQueueTest, StatsCountSchedulingAndOverflow) {
-  EventQueue q(/*bucket_width=*/64);
+  EventQueue q;
   q.schedule_at(10, [] {});
-  q.schedule_at(3 * 64 * 2048, [] {});  // three windows out: parks
+  q.schedule_at(3 * 64 * 2048, [] {});
   EventQueueStats s = q.stats();
   EXPECT_EQ(s.scheduled, 2u);
   EXPECT_EQ(s.peak_pending, 2u);
-  EXPECT_EQ(s.overflow_parked, 1u);
   q.run();
   s = q.stats();
   EXPECT_EQ(s.executed, 2u);
-  EXPECT_GE(s.bucket_refills, 1u);
-  EXPECT_GE(s.arena_blocks, 1u);
 }
 
-// ------------------------------------------- calendar/heap order parity
+// ------------------------------------------------------ order oracle
 
 /// xorshift64: deterministic, impl-independent schedule generator.
 struct Rng {
@@ -208,11 +192,70 @@ struct Rng {
   }
 };
 
-/// Drives `q` (either kernel) through a randomized schedule — near/far/tied/past times,
-/// children scheduled from inside callbacks, a run_until pause midway —
-/// and returns the labels in execution order. Any divergence between
-/// kernels shows up as a different sequence (the byte-identical
-/// event-order contract, DESIGN.md §13).
+/// The kernel's order contract written the slowest obvious way: pending
+/// events sit in a plain vector and the least (time, seq) is found by a
+/// linear scan. The clamps are EventQueue's: a past time runs at now,
+/// and run_until leaves the clock at its bound.
+class ReferenceQueue {
+ public:
+  SimTime now() const { return now_; }
+  std::uint64_t executed() const { return executed_; }
+
+  void schedule_at(SimTime t, std::function<void()> fn) {
+    pending_.push_back(Event{std::max(t, now_), next_seq_++, std::move(fn)});
+  }
+
+  void run() {
+    while (!pending_.empty()) run_least();
+  }
+
+  std::size_t run_until(SimTime t) {
+    std::size_t n = 0;
+    while (!pending_.empty() && pending_[least()].time <= t) {
+      run_least();
+      ++n;
+    }
+    if (now_ < t) now_ = t;
+    return n;
+  }
+
+ private:
+  struct Event {
+    SimTime time;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+
+  std::size_t least() const {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < pending_.size(); ++i) {
+      const Event& e = pending_[i];
+      const Event& b = pending_[best];
+      if (e.time < b.time || (e.time == b.time && e.seq < b.seq)) best = i;
+    }
+    return best;
+  }
+
+  void run_least() {
+    const auto it = pending_.begin() + static_cast<std::ptrdiff_t>(least());
+    Event ev = std::move(*it);
+    pending_.erase(it);
+    now_ = ev.time;
+    ++executed_;
+    ev.fn();
+  }
+
+  std::vector<Event> pending_;
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+};
+
+/// Drives `q` (the kernel or the reference) through a randomized
+/// schedule — near/far/tied/past times, children scheduled from inside
+/// callbacks, a run_until pause midway — and returns the labels in
+/// execution order. Any departure from the (time, seq) contract
+/// (DESIGN.md §13) shows up as a different sequence.
 template <class Queue>
 std::vector<std::uint64_t> exec_order(Queue& q, std::uint64_t seed) {
   Rng rng{seed | 1};
@@ -229,7 +272,7 @@ std::vector<std::uint64_t> exec_order(Queue& q, std::uint64_t seed) {
     switch (r % 5) {
       case 0: t = q.now() + static_cast<SimTime>(r % 97); break;       // near
       case 1: t = q.now(); break;                                      // tie
-      case 2:                                                          // next windows
+      case 2:                                                          // mid
         t = q.now() + static_cast<SimTime>(r % 2000000);
         break;
       case 3: t = static_cast<SimTime>(r % 50); break;                 // likely past
@@ -252,21 +295,18 @@ std::vector<std::uint64_t> exec_order(Queue& q, std::uint64_t seed) {
   return order;
 }
 
-TEST(EventQueueParity, CalendarMatchesHeapUnderRandomizedSchedules) {
+TEST(EventQueueOracle, MatchesLinearScanReferenceUnderRandomizedSchedules) {
   const std::uint64_t seeds[] = {1, 7, 42, 1337, 0xdeadbeef};
-  const SimDuration widths[] = {1, 64, 1000, 1 << 20};
   for (const std::uint64_t seed : seeds) {
-    HeapEventQueue heap;
-    const auto reference = exec_order(heap, seed);
-    ASSERT_GE(reference.size(), 500u);
-    for (const SimDuration width : widths) {
-      EventQueue cal(width);
-      const auto got = exec_order(cal, seed);
-      ASSERT_EQ(got, reference)
-          << "calendar(width=" << width << ") diverged from heap at seed "
-          << seed;
-      EXPECT_EQ(cal.executed(), heap.executed());
-    }
+    ReferenceQueue ref;
+    const auto expected = exec_order(ref, seed);
+    ASSERT_GE(expected.size(), 500u);
+    EventQueue q;
+    const auto got = exec_order(q, seed);
+    ASSERT_EQ(got, expected)
+        << "EventQueue diverged from the reference at seed " << seed;
+    EXPECT_EQ(q.executed(), ref.executed());
+    EXPECT_EQ(q.now(), ref.now());
   }
 }
 
@@ -517,65 +557,6 @@ TEST(NetworkTest, WanIsMuchSlowerThanFabric) {
 }
 
 // ---------------------------------------------------------------- Cluster
-
-TEST(NetworkTest, TransferAsyncMatchesSyncCompletion) {
-  EventQueue q;
-  Network net(4);
-  Network ref(4);
-  SimTime done = -1;
-  net.transfer_async(q, 0, 1, 1 << 20, [&](SimTime t) { done = t; });
-  EXPECT_EQ(done, -1);  // charged, not yet delivered
-  q.run();
-  EXPECT_EQ(done, ref.transfer(0, 0, 1, 1 << 20));
-  EXPECT_EQ(q.now(), done);
-  EXPECT_EQ(net.bytes_moved(), ref.bytes_moved());
-}
-
-TEST(NetworkTest, WanTransferAsyncMatchesSyncCompletion) {
-  EventQueue q;
-  Network net(2);
-  Network ref(2);
-  SimTime done = -1;
-  net.wan_transfer_async(q, 1, 4 << 20, [&](SimTime t) { done = t; });
-  q.run();
-  EXPECT_EQ(done, ref.wan_transfer(0, 1, 4 << 20));
-  EXPECT_EQ(q.now(), done);
-}
-
-TEST(SharedFsTest, AsyncCompletionsMatchSyncAndChain) {
-  EventQueue q;
-  SharedFilesystem fs;
-  SharedFilesystem ref;
-  std::vector<SimTime> completions;
-  // A read whose completion immediately issues a dependent write: the
-  // chained stage is charged at the read's completion time, exactly as
-  // the synchronous code threading `now` by hand would.
-  fs.read_async(q, 1 << 20, [&](SimTime t) {
-    completions.push_back(t);
-    fs.write_async(q, 1 << 18, [&](SimTime t2) { completions.push_back(t2); });
-  });
-  q.run();
-  const SimTime read_done = ref.read(0, 1 << 20);
-  ASSERT_EQ(completions.size(), 2u);
-  EXPECT_EQ(completions[0], read_done);
-  EXPECT_EQ(completions[1], ref.write(read_done, 1 << 18));
-  EXPECT_EQ(fs.bytes_read(), ref.bytes_read());
-  EXPECT_EQ(fs.bytes_written(), ref.bytes_written());
-}
-
-TEST(LocalStorageTest, AsyncCompletionsMatchSync) {
-  EventQueue q;
-  NodeLocalStorage dev;
-  NodeLocalStorage ref;
-  SimTime rd = -1, wr = -1;
-  dev.read_async(q, 1 << 16, [&](SimTime t) { rd = t; });
-  q.run();
-  dev.write_async(q, 1 << 16, [&](SimTime t) { wr = t; });
-  q.run();
-  const SimTime ref_rd = ref.read(0, 1 << 16);
-  EXPECT_EQ(rd, ref_rd);
-  EXPECT_EQ(wr, ref.write(rd, 1 << 16));
-}
 
 TEST(ClusterTest, ConstructsNodes) {
   ClusterConfig cfg;

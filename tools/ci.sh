@@ -129,15 +129,14 @@ if [[ "${SKIP_BENCH:-}" != "1" ]]; then
     --json "$repo_root/build/BENCH_fault_recovery.json"
 fi
 
-# Fleet smoke (DESIGN.md §13): the calendar-queue DES kernel against
-# the heap baseline on a flash-crowd tick storm, plus the §5.1.3
-# proxy/rate-limit/quota pull scenario. The bench exits non-zero when
-# the calendar kernel misses the events/sec ratio or floor gate, when
-# any node fails to complete its pull, or when the two kernels' results
-# are not byte-identical. Summary committed at BENCH_fleet.json in the
-# repo root, so kernel regressions show up in review.
+# Fleet smoke (DESIGN.md §13): the §5.1.3 proxy/rate-limit/quota pull
+# scenario on the DES kernel, run twice with the same seed. The bench
+# exits non-zero when any node fails to complete its pull, when the
+# rate limiter or the quota never engages, or when the two runs'
+# results are not byte-identical. Summary committed at BENCH_fleet.json
+# in the repo root, so kernel regressions show up in review.
 if [[ "${SKIP_BENCH:-}" != "1" ]]; then
-  echo "== fleet smoke (bench_fleet --quick, calendar vs heap kernel)"
+  echo "== fleet smoke (bench_fleet --quick, same-seed identity)"
   cmake --build "$repo_root/build" -j "$jobs" --target bench_fleet
   "$repo_root/build/bench/bench_fleet" --quick \
     --json "$repo_root/BENCH_fleet.json"

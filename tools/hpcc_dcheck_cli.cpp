@@ -40,7 +40,6 @@
 #include "audit/report.h"
 #include "dcheck/dcheck.h"
 #include "dcheck/determinism.h"
-#include "heap_event_queue.h"
 #include "image/build.h"
 #include "image/convert.h"
 #include "obs/obs.h"
@@ -181,10 +180,9 @@ std::string skewed_steal_once(util::ThreadPool* pool) {
 /// Fleet flash crowd in miniature: 64 nodes pull one image, most
 /// through a site pull-through proxy and one per wave straight at the
 /// rate-limited origin (429 → reschedule at retry_at), every stage a
-/// DES completion event on the kernel `Queue`. Returns the counters
-/// and a completion checksum — the bytes the §13 contract says must be
-/// identical across kernels and perturbed schedules.
-template <class Queue>
+/// DES completion event. Returns the counters and a completion
+/// checksum — the bytes the §13 contract says must be identical across
+/// perturbed schedules.
 std::string fleet_flash_crowd_once() {
   registry::RegistryLimits limits;
   limits.pull_limit = 6;  // tiny window cap: the limiter engages
@@ -219,7 +217,7 @@ std::string fleet_flash_crowd_once() {
   }
 
   registry::PullThroughProxy proxy("proxy.site", &origin);
-  Queue events;
+  sim::EventQueue events;
 
   constexpr std::uint32_t kNodes = 64;
   std::uint64_t completions = 0;
@@ -508,20 +506,10 @@ int run_sweep(const Options& opts) {
   (void)dcheck::audit_determinism(
       "steal-skewed", [&] { return skewed_steal_once(&pool); }, opts.seed);
 
-  // Fleet workload: byte-identical across the two DES kernels (the §13
-  // event-order contract, end-to-end) and across perturbed schedules.
-  const std::string cal = fleet_flash_crowd_once<sim::EventQueue>();
-  const std::string heap = fleet_flash_crowd_once<sim::HeapEventQueue>();
-  if (cal != heap) {
-    std::fprintf(stderr,
-                 "fleet workload diverged between kernels:\n"
-                 "  calendar: %s\n  heap:     %s\n",
-                 cal.c_str(), heap.c_str());
-    return 1;
-  }
+  // Fleet workload: byte-identical across perturbed schedules (the §13
+  // event-order contract, end-to-end).
   (void)dcheck::audit_determinism(
-      "fleet-flash-crowd",
-      [] { return fleet_flash_crowd_once<sim::EventQueue>(); },
+      "fleet-flash-crowd", [] { return fleet_flash_crowd_once(); },
       opts.seed);
 
   // Resilience workload (§14): the breaker/failover/shedding path under
