@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace hpcc::crypto {
 
 namespace {
@@ -39,56 +43,130 @@ void Sha256::reset() {
 }
 
 void Sha256::process_blocks(const std::uint8_t* data, std::size_t n) {
-  // One call per bulk update instead of one per 64-byte block: the
-  // compiler keeps the state words in registers across iterations.
-  for (std::size_t i = 0; i < n; ++i) process_block(data + i * 64);
+  // The kernel is picked once per process: the CPU does not change.
+  static const detail::CompressFn compress =
+#if defined(__x86_64__) || defined(__i386__)
+      detail::cpu_has_shani() ? detail::compress_shani :
+#endif
+                              detail::compress_scalar;
+  compress(h_, data, n);
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t(block[i * 4]) << 24) |
-           (std::uint32_t(block[i * 4 + 1]) << 16) |
-           (std::uint32_t(block[i * 4 + 2]) << 8) |
-           std::uint32_t(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+namespace detail {
 
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
+void compress_scalar(std::uint32_t* state, const std::uint8_t* data,
+                     std::size_t n) {
+  for (; n > 0; --n, data += 64) {
+    const std::uint8_t* block = data;
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t(block[i * 4]) << 24) |
+             (std::uint32_t(block[i * 4 + 1]) << 16) |
+             (std::uint32_t(block[i * 4 + 2]) << 8) |
+             std::uint32_t(block[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
 
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+bool cpu_has_shani() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  }();
+  return has;
+}
+
+// SHA-NI keeps the state as two vectors, ABEF and CDGH (high lane
+// first). _mm_sha256rnds2_epu32 runs two rounds on the low two words of
+// its message+constant operand; each group of four rounds adds
+// W[4r..4r+3] to K[4r..4r+3] and calls it twice, shifting the upper pair
+// down in between. _mm_sha256msg1/msg2 expand the schedule four words at
+// a time.
+__attribute__((target("sha,sse4.1"))) void compress_shani(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t n) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);                 // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);               // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);       // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);            // CDGH
+
+  for (; n > 0; --n, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // w[r % 4] holds W[4r..4r+3]
+#pragma GCC unroll 16
+    for (int r = 0; r < 16; ++r) {
+      if (r < 4) {
+        w[r] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * r)),
+            kByteSwap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+        const __m128i w7 =
+            _mm_alignr_epi8(w[(r + 3) % 4], w[(r + 2) % 4], 4);
+        w[r % 4] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w[r % 4], w[(r + 1) % 4]), w7),
+            w[(r + 3) % 4]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[r % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * r)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);                // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);               // DCHG
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(tmp, cdgh, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(cdgh, tmp, 8));     // HGFE
+}
+#endif
+
+}  // namespace detail
 
 void Sha256::update(BytesView data) {
   total_len_ += data.size();
@@ -101,7 +179,7 @@ void Sha256::update(BytesView data) {
     buffer_len_ += take;
     off += take;
     if (buffer_len_ == 64) {
-      process_block(buffer_);
+      process_blocks(buffer_, 1);
       buffer_len_ = 0;
     }
   }

@@ -37,7 +37,8 @@ class Sha256 {
   static DigestBytes hash(std::string_view text);
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Folds `n` whole 64-byte blocks into h_ with the kernel this CPU
+  /// supports (see detail below).
   void process_blocks(const std::uint8_t* data, std::size_t n);
 
   std::uint32_t h_[8];
@@ -45,5 +46,23 @@ class Sha256 {
   std::size_t buffer_len_;
   std::uint64_t total_len_;
 };
+
+/// The compression kernels behind Sha256. Each folds `n` 64-byte blocks
+/// into the eight state words. Sha256 uses compress_shani when the CPU
+/// has the SHA extensions and compress_scalar otherwise; the scalar
+/// kernel is also the tests' oracle. Callers hash through Sha256.
+namespace detail {
+using CompressFn = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t n);
+void compress_scalar(std::uint32_t* state, const std::uint8_t* data,
+                     std::size_t n);
+#if defined(__x86_64__) || defined(__i386__)
+/// True when this CPU has SHA-NI and SSE4.1.
+bool cpu_has_shani();
+/// Only valid to call when cpu_has_shani().
+void compress_shani(std::uint32_t* state, const std::uint8_t* data,
+                    std::size_t n);
+#endif
+}  // namespace detail
 
 }  // namespace hpcc::crypto

@@ -1,6 +1,8 @@
 #include "vfs/compress.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 namespace hpcc::vfs {
@@ -17,6 +19,27 @@ inline std::uint32_t hash3(const std::uint8_t* p) {
       std::uint32_t(p[0]) | (std::uint32_t(p[1]) << 8) | (std::uint32_t(p[2]) << 16);
   return (v * 2654435761u) >> (32 - 13);
 }
+
+// Length of the common prefix of `a` and `b`, at most `limit` bytes,
+// compared a word at a time.
+inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
+                                std::size_t limit) {
+  std::size_t len = 0;
+  for (; len + 8 <= limit; len += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (x != y) {
+      const std::uint64_t diff = x ^ y;
+      return len + static_cast<std::size_t>(
+                       std::endian::native == std::endian::little
+                           ? std::countr_zero(diff)
+                           : std::countl_zero(diff)) / 8;
+    }
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
 }  // namespace
 
 Bytes lzss_compress(BytesView input) {
@@ -24,10 +47,17 @@ Bytes lzss_compress(BytesView input) {
   out.reserve(input.size() / 2 + 16);
   append_u64(out, input.size());
 
-  // Hash chains: head[h] = most recent position with hash h.
+  // Hash chains: head[h] = most recent position with hash h, and
+  // prev[p & ring_mask] = the position before p in its chain. The chain
+  // walk only follows positions within kWindow of the current one, so a
+  // ring of 2 * kWindow slots still holds every link it reads; shorter
+  // inputs need only one slot per position.
   std::array<std::int64_t, kHashSize> head;
   head.fill(-1);
-  std::vector<std::int64_t> prev(input.size(), -1);
+  const std::size_t ring_size = std::min(
+      2 * kWindow, std::bit_ceil(std::max<std::size_t>(input.size(), 1)));
+  const std::size_t ring_mask = ring_size - 1;
+  std::vector<std::int64_t> prev(ring_size, -1);
 
   std::size_t pos = 0;
   std::size_t flag_pos = 0;
@@ -49,23 +79,27 @@ Bytes lzss_compress(BytesView input) {
 
     if (pos + kMinMatch <= input.size()) {
       const std::uint32_t h = hash3(input.data() + pos);
+      const std::size_t limit = std::min(kMaxMatch, input.size() - pos);
       std::int64_t cand = head[h];
       int chain = 32;  // bounded chain walk keeps compression O(n)
       while (cand >= 0 && chain-- > 0 &&
              pos - static_cast<std::size_t>(cand) <= kWindow) {
-        const std::size_t dist = pos - static_cast<std::size_t>(cand);
-        const std::size_t limit = std::min(kMaxMatch, input.size() - pos);
-        std::size_t len = 0;
-        while (len < limit && input[cand + len] == input[pos + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_dist = dist;
-          if (len == kMaxMatch) break;
+        const std::size_t c = static_cast<std::size_t>(cand);
+        // Only a strictly longer match replaces the best, and a candidate
+        // that differs at byte best_len cannot give one.
+        if (input[c + best_len] == input[pos + best_len]) {
+          const std::size_t len =
+              match_length(input.data() + c, input.data() + pos, limit);
+          if (len > best_len) {
+            best_len = len;
+            best_dist = pos - c;
+            if (len == limit) break;  // nothing longer fits
+          }
         }
-        cand = prev[cand];
+        cand = prev[c & ring_mask];
       }
       // Insert current position into the chain.
-      prev[pos] = head[h];
+      prev[pos & ring_mask] = head[h];
       head[h] = static_cast<std::int64_t>(pos);
     }
 
@@ -80,7 +114,7 @@ Bytes lzss_compress(BytesView input) {
       for (std::size_t k = 1; k < best_len && pos + k + kMinMatch <= input.size();
            ++k) {
         const std::uint32_t h2 = hash3(input.data() + pos + k);
-        prev[pos + k] = head[h2];
+        prev[(pos + k) & ring_mask] = head[h2];
         head[h2] = static_cast<std::int64_t>(pos + k);
       }
       pos += best_len;

@@ -14,6 +14,7 @@
 #include "crypto/keyring.h"
 #include "crypto/sha256.h"
 #include "crypto/sign.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace hpcc::crypto {
@@ -70,6 +71,107 @@ TEST(Sha256Test, ResetAllowsReuse) {
   h.update(std::string_view("abc"));
   EXPECT_EQ(hex(h.digest()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// ------------------------------------------------------- SHA-256 kernels
+//
+// Sha256 runs one of two compression kernels (detail::compress_scalar
+// or, where the CPU has the SHA extensions, detail::compress_shani).
+// These tests drive each kernel directly; the scalar one is the oracle.
+
+// Pads `msg` per FIPS 180-4 and folds it through `compress` from the
+// standard initial state; returns the digest as hex.
+std::string digest_with(detail::CompressFn compress, BytesView msg) {
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i)
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  compress(state, padded.data(), padded.size() / 64);
+  Bytes out;
+  for (std::uint32_t word : state)
+    for (int i = 3; i >= 0; --i)
+      out.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+  return hex(out);
+}
+
+std::string digest_with(detail::CompressFn compress, std::string_view text) {
+  return digest_with(compress, to_bytes(text));
+}
+
+// The four FIPS 180-4 vectors above, through one kernel.
+void expect_fips_vectors(detail::CompressFn compress) {
+  EXPECT_EQ(digest_with(compress, std::string_view("")),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(digest_with(compress, std::string_view("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(digest_with(compress,
+                        std::string_view("abcdbcdecdefdefgefghfghighijhijkijkl"
+                                         "jklmklmnlmnomnopnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(digest_with(compress, std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// The SHA-NI kernel, or nullptr where this build or CPU has none.
+detail::CompressFn shani_kernel() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (detail::cpu_has_shani()) return detail::compress_shani;
+#endif
+  return nullptr;
+}
+
+TEST(Sha256KernelTest, ScalarKernelMatchesFipsVectors) {
+  expect_fips_vectors(detail::compress_scalar);
+}
+
+TEST(Sha256KernelTest, ShaniKernelMatchesFipsVectors) {
+  const auto shani = shani_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  expect_fips_vectors(shani);
+}
+
+TEST(Sha256KernelTest, ShaniMatchesScalarOnRandomStatesAndRuns) {
+  const auto shani = shani_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  Rng rng(180);
+  Bytes data(64 * 64);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t blocks = 1; blocks <= 64; ++blocks) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::uint32_t scalar[8], fast[8];
+      for (int i = 0; i < 8; ++i)
+        scalar[i] = fast[i] = static_cast<std::uint32_t>(rng.next_u64());
+      const std::size_t off = rng.next_below(64 * (64 - blocks) + 1);
+      detail::compress_scalar(scalar, data.data() + off, blocks);
+      shani(fast, data.data() + off, blocks);
+      for (int i = 0; i < 8; ++i)
+        ASSERT_EQ(fast[i], scalar[i])
+            << "word " << i << ", " << blocks << " blocks at offset " << off;
+    }
+  }
+}
+
+TEST(Sha256Test, SplitAtEveryOffsetMatchesScalarOracle) {
+  // Two cuts anywhere in the first 128 bytes: the first piece fills
+  // buffer_ partway, the second flushes it, runs whole blocks or stays
+  // short, and the tail is staged again.
+  Rng rng(4);
+  Bytes msg(300);
+  for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
+  const std::string expected = digest_with(detail::compress_scalar, msg);
+  for (std::size_t a = 0; a <= 128; ++a) {
+    for (std::size_t b = a; b <= 128; ++b) {
+      Sha256 h;
+      h.update(BytesView(msg.data(), a));
+      h.update(BytesView(msg.data() + a, b - a));
+      h.update(BytesView(msg.data() + b, msg.size() - b));
+      ASSERT_EQ(hex(h.digest()), expected) << "cuts at " << a << ", " << b;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- Digest

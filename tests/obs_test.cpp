@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/digest.h"
 #include "image/build.h"
 #include "image/convert.h"
 #include "registry/client.h"
@@ -424,6 +425,37 @@ TEST_F(ObsPullTest, MetricsMirrorThePullCounters) {
             r.value().layers.size());
   EXPECT_EQ(snap.counters.count("registry.layers_skipped"), 0u)
       << "a cold pull skips nothing, so the counter must not even exist";
+}
+
+TEST_F(ObsPullTest, BytesHashedCountsEveryDigestAndIsPoolInvariant) {
+  obs::Config on;
+  on.metrics = true;
+  obs::configure(on);
+  (void)crypto::Digest::of(Bytes(1000, 7));
+  EXPECT_EQ(obs::metrics().snapshot().counters.at("crypto.bytes_hashed"),
+            1000u);
+
+  // A pull verifies every layer it receives, so it hashes at least the
+  // bytes it moved; the count is the same whether the verify runs on
+  // the calling thread or on pool workers.
+  obs::configure(on);
+  const auto r = pull_once();
+  ASSERT_TRUE(r.ok());
+  const auto sequential = obs::metrics().snapshot().counters;
+  EXPECT_GE(sequential.at("crypto.bytes_hashed"),
+            sequential.at("registry.pull_bytes"));
+
+  obs::configure(on);
+  {
+    util::ThreadPool pool(4);
+    registry::OciRegistry reg_copy = reg;
+    sim::Network n = net;
+    image::BlobStore local;
+    registry::RegistryClient client(&n, 1, &pool);
+    ASSERT_TRUE(client.pull(0, reg_copy, ref, &local).ok());
+  }
+  EXPECT_EQ(obs::metrics().snapshot().counters.at("crypto.bytes_hashed"),
+            sequential.at("crypto.bytes_hashed"));
 }
 
 // --------------------------------------------------------- concurrency

@@ -98,7 +98,9 @@ TEST(EventQueueTest, BurstScheduleRunsInDeterministicOrder) {
   for (std::size_t k = 1; k < order.size(); ++k) {
     const int a = order[k - 1], b = order[k];
     EXPECT_LT(a % 3, b % 3 + 1);          // time bands ascend
-    if (a % 3 == b % 3) EXPECT_LT(a, b);  // ties keep insertion order
+    if (a % 3 == b % 3) {
+      EXPECT_LT(a, b);  // ties keep insertion order
+    }
   }
   EXPECT_EQ(q.executed(), 300u);
 }

@@ -1,8 +1,13 @@
 // Unit tests for hpcc_vfs core: path normalization, MemFs semantics
 // (creation, symlinks, renames, walks), and LZSS compression round-trips
-// including a parameterized property sweep over data shapes.
+// including a parameterized property sweep over data shapes, plus golden
+// digests that pin the compressor's exact output.
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "crypto/sha256.h"
+#include "image/build.h"
 #include "util/rng.h"
 #include "vfs/compress.h"
 #include "vfs/memfs.h"
@@ -290,6 +295,61 @@ TEST(CompressTest, TruncationDetected) {
 TEST(CompressTest, GarbageHeaderRejected) {
   Bytes garbage = {1, 2, 3};
   EXPECT_EQ(lzss_decompress(garbage).error().code(), ErrorCode::kInvalidArgument);
+}
+
+// Golden outputs. The format admits many encodings of one input, so a
+// round trip cannot tell whether the match finder still picks the same
+// matches; these digests can. Each folds lzss_compress's output over the
+// lengths below, as computed before the finder's ring buffer and
+// word-wise compare went in. Lengths straddle the 3-byte hash, the
+// 18-byte maximum match, the 4 KiB window and the 8 KiB chain ring, and
+// the largest wrap the ring many times.
+TEST(CompressTest, OutputMatchesGoldenDigests) {
+  constexpr std::size_t kLengths[] = {0,    1,    2,    3,    18,    19,
+                                      4095, 4096, 4097, 8191, 8192,  8193,
+                                      100000, 131072};
+  auto synthetic = [](std::uint64_t seed) {
+    return [seed](std::size_t len) {
+      Rng rng(seed);
+      return image::synthetic_file_content(rng, len);
+    };
+  };
+  struct Golden {
+    const char* name;
+    std::function<Bytes(std::size_t)> make;
+    const char* digest;
+  };
+  const Golden goldens[] = {
+      {"synthetic_seed1", synthetic(1),
+       "60cfac79597affac3a13c7df00cedb35d8442acd79f78113eccccb7b4f45f8dd"},
+      {"synthetic_seed7", synthetic(7),
+       "a406fd62c2e4b601dc6b964659d1745c5d95139bb58cebcd7fd28fbf2b1134b4"},
+      {"synthetic_seed104729", synthetic(104729),
+       "cfe679867aed36f08787425ae7abb16cd1864f62b3f585e20e1f2867939fa8dd"},
+      {"zeros", [](std::size_t len) { return Bytes(len, 0); },
+       "c3ce9a93f4885ff5383674a4a59b9d41de31a6a19d81641aede3417b5964dc2a"},
+      {"random",
+       [](std::size_t len) {
+         Rng rng(11);
+         Bytes b(len);
+         for (auto& x : b) x = static_cast<std::uint8_t>(rng.next_u64());
+         return b;
+       },
+       "9b513ccd06367223a8627f5232fcb296ef35afdda303e7c640061b5707f3ef13"},
+      {"two_symbols",
+       [](std::size_t len) {
+         Rng rng(13);
+         Bytes b(len);
+         for (auto& x : b) x = static_cast<std::uint8_t>('a' + rng.next_below(2));
+         return b;
+       },
+       "e52c0d16cb779febeb94a4f46b134043d05db68d633c832f8fa24d31ad147dc0"},
+  };
+  for (const auto& g : goldens) {
+    crypto::Sha256 fold;
+    for (std::size_t len : kLengths) fold.update(lzss_compress(g.make(len)));
+    EXPECT_EQ(strings::hex_encode(fold.digest()), g.digest) << g.name;
+  }
 }
 
 // Property sweep: round-trip across sizes and data shapes.
