@@ -68,37 +68,6 @@ void sort_options(std::vector<ScoredOption>& options) {
 DecisionEngine::DecisionEngine(SiteRequirements site)
     : site_(std::move(site)) {}
 
-std::vector<ScoredOption> DecisionEngine::rescore_engines(
-    const std::vector<ObservedEngineLatency>& observed, double blend) const {
-  if (blend < 0.0) blend = 0.0;
-  if (blend > 1.0) blend = 1.0;
-  double best = 0.0;
-  for (const auto& o : observed)
-    if (o.start_latency_us > 0.0 && (best == 0.0 || o.start_latency_us < best))
-      best = o.start_latency_us;
-  std::vector<ScoredOption> options;
-  options.reserve(observed.size());
-  for (const auto& o : observed) {
-    ScoredOption opt = score_engine(o.kind);
-    if (opt.feasible && best > 0.0 && o.start_latency_us > 0.0) {
-      const double factor = best / o.start_latency_us;
-      opt.score *= (1.0 - blend) + blend * factor;
-      if (factor >= 1.0) {
-        opt.pros.push_back("best observed start latency for this workload");
-      } else {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "observed start latency %.2fx the best candidate",
-                      1.0 / factor);
-        opt.cons.push_back(buf);
-      }
-    }
-    options.push_back(std::move(opt));
-  }
-  sort_options(options);
-  return options;
-}
-
 ScoredOption DecisionEngine::score_engine(engine::EngineKind kind) const {
   // Feature sets are intrinsic; an empty context suffices for scoring.
   auto instance = engine::make_engine(kind, engine::EngineContext{});

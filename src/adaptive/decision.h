@@ -46,31 +46,11 @@ struct DecisionReport {
   std::string render() const;
 };
 
-/// One engine's observed pod/container start latency (a sim-µs EWMA),
-/// fed back by the control plane's EngineSelectPolicy. The static
-/// survey scores say what an engine *should* do; this is what it
-/// measurably did for one workload class on this site.
-struct ObservedEngineLatency {
-  engine::EngineKind kind;
-  double start_latency_us = 0;
-};
-
 class DecisionEngine {
  public:
   explicit DecisionEngine(SiteRequirements site);
 
   DecisionReport decide() const;
-
-  /// The closed-loop re-scoring entry point: blends each candidate's
-  /// static score with the ratio of the best observed start latency to
-  /// its own (an engine 2× slower than the best keeps half its blended
-  /// share). `blend` in [0, 1] is the weight on the observed factor;
-  /// 0 reproduces the static ranking exactly. Returns the re-scored
-  /// options sorted like decide() (feasible first, score descending,
-  /// input order as the stable tiebreak).
-  std::vector<ScoredOption> rescore_engines(
-      const std::vector<ObservedEngineLatency>& observed,
-      double blend = 0.5) const;
 
   ScoredOption score_engine(engine::EngineKind kind) const;
   ScoredOption score_registry(const registry::RegistryProduct& product) const;

@@ -4,9 +4,9 @@
 // survey's *adaptive* story. PR 5's obs::Registry and PR 9's
 // HealthTracker/CircuitBreaker produce the signals; this header turns
 // them into actuation. A Controller registers Policy objects — each
-// owns exactly one knob (prefetch depth, tier sizing, route preference,
-// engine choice; policies.h) — and evaluates all of them on a fixed
-// control epoch, self-scheduled on the sim::EventQueue.
+// owns exactly one knob (prefetch depth or route preference;
+// policies.h) — and evaluates all of them on a fixed control epoch,
+// self-scheduled on the sim::EventQueue.
 //
 // Control-theory guardrails live in StepGuard and are shared by every
 // numeric policy:

@@ -75,88 +75,6 @@ void PrefetchPolicy::actuate(const Proposal& p) {
 }
 
 // ---------------------------------------------------------------------------
-// TierSizingPolicy
-// ---------------------------------------------------------------------------
-
-TierSizingPolicy::TierSizingPolicy(storage::CacheHierarchy* chain,
-                                   std::size_t upper, std::size_t lower)
-    : TierSizingPolicy(chain, upper, lower,
-                       GuardConfig{.deadband = 0.02,
-                                   .hysteresis_epochs = 2,
-                                   .max_step = 0.1,
-                                   .min_value = 0.1,
-                                   .max_value = 0.9}) {}
-
-TierSizingPolicy::TierSizingPolicy(storage::CacheHierarchy* chain,
-                                   std::size_t upper, std::size_t lower,
-                                   GuardConfig guard)
-    : chain_(chain), upper_(upper), lower_(lower), guard_(guard) {
-  const auto topo = chain_->topology();
-  const std::uint64_t up = upper_ < topo.tiers.size()
-                               ? topo.tiers[upper_].capacity_bytes
-                               : 0;
-  const std::uint64_t low = lower_ < topo.tiers.size()
-                                ? topo.tiers[lower_].capacity_bytes
-                                : 0;
-  budget_ = up + low;
-  share_ = budget_ > 0
-               ? static_cast<double>(up) / static_cast<double>(budget_)
-               : 0.5;
-}
-
-std::optional<Proposal> TierSizingPolicy::evaluate(const EpochContext& ctx) {
-  (void)ctx;
-  if (budget_ == 0) return std::nullopt;
-  const storage::TierStats up = chain_->tier_stats(upper_);
-  const storage::TierStats low = chain_->tier_stats(lower_);
-  const std::uint64_t up_evict = up.evictions - last_upper_.evictions;
-  const std::uint64_t low_evict = low.evictions - last_lower_.evictions;
-  const std::uint64_t up_miss = up.misses - last_upper_.misses;
-  const std::uint64_t low_miss = low.misses - last_lower_.misses;
-  last_upper_ = up;
-  last_lower_ = low;
-
-  const std::uint64_t pressure = up_evict + low_evict;
-  if (pressure == 0) return std::nullopt;  // nobody is evicting: hold
-
-  // Give capacity to the tier under eviction pressure, in proportion:
-  // all pressure on the upper tier pushes its share toward the clamp.
-  const double target =
-      static_cast<double>(up_evict) / static_cast<double>(pressure);
-  const auto next = guard_.step(share_, target);
-  if (!next) return std::nullopt;
-
-  Proposal p;
-  p.old_setting = share_;
-  p.new_setting = *next;
-  p.sensors = kv("up_evict", up_evict) + " " + kv("low_evict", low_evict) +
-              " " + kv("up_miss", up_miss) + " " + kv("low_miss", low_miss);
-  p.rationale = "eviction pressure " + std::to_string(up_evict) + "/" +
-                std::to_string(low_evict) + " (upper/lower), share -> " +
-                fmt_setting(*next);
-  return p;
-}
-
-void TierSizingPolicy::actuate(const Proposal& p) {
-  share_ = p.new_setting;
-  const auto upper_bytes = static_cast<std::uint64_t>(
-      share_ * static_cast<double>(budget_));
-  const std::uint64_t lower_bytes = budget_ - upper_bytes;
-  const auto topo = chain_->topology();
-  const std::uint64_t cur_upper =
-      upper_ < topo.tiers.size() ? topo.tiers[upper_].capacity_bytes : 0;
-  // Shrink the losing tier first so the budget is never exceeded while
-  // both resizes are in flight.
-  if (upper_bytes <= cur_upper) {
-    chain_->set_tier_capacity(upper_, upper_bytes);
-    chain_->set_tier_capacity(lower_, lower_bytes);
-  } else {
-    chain_->set_tier_capacity(lower_, lower_bytes);
-    chain_->set_tier_capacity(upper_, upper_bytes);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // RoutingPolicy
 // ---------------------------------------------------------------------------
 
@@ -240,90 +158,6 @@ void RoutingPolicy::actuate(const Proposal& p) {
           ? registry::RegistryClient::RoutePreference::kOriginFirst
           : registry::RegistryClient::RoutePreference::kProxyFirst;
   for (registry::RegistryClient* c : clients_) c->set_route_preference(pref);
-}
-
-// ---------------------------------------------------------------------------
-// EngineSelectPolicy
-// ---------------------------------------------------------------------------
-
-EngineSelectPolicy::EngineSelectPolicy(
-    const adaptive::DecisionEngine* engine, std::string workload_class,
-    std::vector<engine::EngineKind> candidates, double blend,
-    unsigned hysteresis_epochs)
-    : engine_(engine),
-      name_("engine-select:" + workload_class),
-      candidates_(std::move(candidates)),
-      latency_ewma_(candidates_.size(), 0.0),
-      samples_(candidates_.size(), 0),
-      blend_(blend),
-      hysteresis_epochs_(hysteresis_epochs == 0 ? 1 : hysteresis_epochs) {}
-
-void EngineSelectPolicy::observe(engine::EngineKind kind,
-                                 SimDuration start_latency) {
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    if (candidates_[i] != kind) continue;
-    constexpr double kAlpha = 0.3;
-    if (samples_[i] == 0) {
-      latency_ewma_[i] = static_cast<double>(start_latency);
-    } else {
-      latency_ewma_[i] +=
-          kAlpha * (static_cast<double>(start_latency) - latency_ewma_[i]);
-    }
-    ++samples_[i];
-    return;
-  }
-}
-
-std::optional<Proposal> EngineSelectPolicy::evaluate(const EpochContext& ctx) {
-  (void)ctx;
-  // Need evidence on every candidate before re-ranking: an unsampled
-  // engine would win or lose on zero data.
-  for (std::uint64_t n : samples_)
-    if (n == 0) return std::nullopt;
-
-  std::vector<adaptive::ObservedEngineLatency> observed;
-  observed.reserve(candidates_.size());
-  for (std::size_t i = 0; i < candidates_.size(); ++i)
-    observed.push_back({candidates_[i], latency_ewma_[i]});
-  const auto ranked = engine_->rescore_engines(observed, blend_);
-  if (ranked.empty() || !ranked.front().feasible) return std::nullopt;
-
-  std::size_t winner = selected_;
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    if (engine::to_string(candidates_[i]) == ranked.front().name) {
-      winner = i;
-      break;
-    }
-  }
-  if (winner == selected_) {
-    streak_ = 0;
-    return std::nullopt;
-  }
-  // Categorical hysteresis: the same challenger must win consecutive
-  // epochs before the selection flips.
-  if (winner != pending_) {
-    pending_ = winner;
-    streak_ = 0;
-  }
-  ++streak_;
-  if (streak_ < hysteresis_epochs_) return std::nullopt;
-
-  Proposal p;
-  p.old_setting = static_cast<double>(selected_);
-  p.new_setting = static_cast<double>(winner);
-  p.sensors = kv("lat_old_us", latency_ewma_[selected_]) + " " +
-              kv("lat_new_us", latency_ewma_[winner]);
-  p.rationale = std::string("observed start latency favors ") +
-                std::string(engine::to_string(candidates_[winner])) +
-                " over " +
-                std::string(engine::to_string(candidates_[selected_])) +
-                " for " + name_.substr(name_.find(':') + 1);
-  return p;
-}
-
-void EngineSelectPolicy::actuate(const Proposal& p) {
-  selected_ = static_cast<std::size_t>(p.new_setting);
-  streak_ = 0;
 }
 
 }  // namespace hpcc::control

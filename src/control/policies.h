@@ -1,39 +1,28 @@
 // hpcc/control/policies.h
 //
-// The four built-in control policies (DESIGN.md §15) — one knob each,
-// all steered from signals the tree already produces:
+// The two built-in control policies (DESIGN.md §15) — one knob each,
+// both steered from signals the tree already produces:
 //
 //  * PrefetchPolicy    — tunes the lazy mount's prefetch depth from the
 //                        observed access pattern (sequential vs random
 //                        first-touch order) and fault-shed pressure,
 //                        through a shared LazyTuning handle;
-//  * TierSizingPolicy  — rebalances capacity between two cache tiers of
-//                        a CacheHierarchy from per-tier eviction
-//                        pressure, under a fixed total byte budget;
 //  * RoutingPolicy     — steers RegistryClient route preference
 //                        (proxy-first vs origin-first) from the primary
 //                        proxy's HealthTracker EWMAs and breaker state,
-//                        *ahead* of the breaker tripping;
-//  * EngineSelectPolicy— re-scores the adaptive::DecisionEngine's
-//                        engine ranking per workload class from
-//                        observed pod/container start latencies.
+//                        *ahead* of the breaker tripping.
 //
 // Each policy runs its target through a StepGuard (deadband, hysteresis,
 // bounded step — controller.h), so no sensor spike can slam a knob and
 // no boundary-sitting signal can oscillate one.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "adaptive/decision.h"
 #include "control/controller.h"
-#include "engine/engine.h"
 #include "registry/client.h"
 #include "registry/lazy.h"
-#include "storage/cache_hierarchy.h"
 
 namespace hpcc::control {
 
@@ -63,41 +52,6 @@ class PrefetchPolicy final : public Policy {
   unsigned max_depth_;
   StepGuard guard_;
   DeltaTracker deltas_;
-};
-
-// ---------------------------------------------------------------------------
-// TierSizingPolicy
-// ---------------------------------------------------------------------------
-
-class TierSizingPolicy final : public Policy {
- public:
-  /// Rebalances capacity between `upper` and `lower` cache tiers of
-  /// `chain`. The total budget is the sum of both capacities at
-  /// construction; the setting is the upper tier's share of it. The
-  /// guard's min/max clamp keeps both tiers alive (no tier ever drops
-  /// below 10% of the budget by default).
-  TierSizingPolicy(storage::CacheHierarchy* chain, std::size_t upper,
-                   std::size_t lower);
-  TierSizingPolicy(storage::CacheHierarchy* chain, std::size_t upper,
-                   std::size_t lower, GuardConfig guard);
-
-  std::string_view name() const override { return "tier-sizing"; }
-
-  std::optional<Proposal> evaluate(const EpochContext& ctx) override;
-  void actuate(const Proposal& p) override;
-
-  std::uint64_t budget_bytes() const { return budget_; }
-  double upper_share() const { return share_; }
-
- private:
-  storage::CacheHierarchy* chain_;
-  std::size_t upper_;
-  std::size_t lower_;
-  std::uint64_t budget_ = 0;
-  double share_ = 0.5;
-  StepGuard guard_;
-  storage::TierStats last_upper_;
-  storage::TierStats last_lower_;
 };
 
 // ---------------------------------------------------------------------------
@@ -142,45 +96,6 @@ class RoutingPolicy final : public Policy {
   RoutingConfig cfg_;
   StepGuard guard_;
   double baseline_ = 0.0;
-};
-
-// ---------------------------------------------------------------------------
-// EngineSelectPolicy
-// ---------------------------------------------------------------------------
-
-class EngineSelectPolicy final : public Policy {
- public:
-  /// Re-ranks `candidates` for one workload class. The harness feeds
-  /// observe() with measured start latencies; once every candidate has
-  /// samples, each epoch re-scores via DecisionEngine::rescore_engines
-  /// and switches selected() only after the same winner persists for
-  /// `hysteresis_epochs` consecutive epochs.
-  EngineSelectPolicy(const adaptive::DecisionEngine* engine,
-                     std::string workload_class,
-                     std::vector<engine::EngineKind> candidates,
-                     double blend = 0.5, unsigned hysteresis_epochs = 2);
-
-  std::string_view name() const override { return name_; }
-
-  /// One observed start latency for `kind` (EWMA, alpha 0.3).
-  void observe(engine::EngineKind kind, SimDuration start_latency);
-
-  std::optional<Proposal> evaluate(const EpochContext& ctx) override;
-  void actuate(const Proposal& p) override;
-
-  engine::EngineKind selected() const { return candidates_[selected_]; }
-
- private:
-  const adaptive::DecisionEngine* engine_;
-  std::string name_;
-  std::vector<engine::EngineKind> candidates_;
-  std::vector<double> latency_ewma_;
-  std::vector<std::uint64_t> samples_;
-  double blend_;
-  unsigned hysteresis_epochs_;
-  std::size_t selected_ = 0;
-  std::size_t pending_ = 0;
-  unsigned streak_ = 0;
 };
 
 }  // namespace hpcc::control

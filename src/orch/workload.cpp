@@ -1,8 +1,30 @@
 #include "orch/workload.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace hpcc::orch {
+
+namespace {
+
+/// Orders arrivals by submit time; equal times keep emission order, so
+/// the trace is the same on every standard library. Sorts (submit,
+/// index) keys and then moves each arrival into place once.
+template <typename Arrival>
+void sort_by_submit(std::vector<Arrival>& arrivals) {
+  std::vector<std::pair<SimTime, std::size_t>> keys;
+  keys.reserve(arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i)
+    keys.emplace_back(arrivals[i].submit, i);
+  std::sort(keys.begin(), keys.end());
+  std::vector<Arrival> sorted;
+  sorted.reserve(arrivals.size());
+  for (const auto& key : keys)
+    sorted.push_back(std::move(arrivals[key.second]));
+  arrivals = std::move(sorted);
+}
+
+}  // namespace
 
 double WorkloadTrace::demand_node_usec(std::uint32_t cores_per_node) const {
   double total = 0;
@@ -66,7 +88,6 @@ WorkloadTrace generate_trace(std::uint64_t seed, const TraceConfig& config) {
       pod.submit = at;
       pod.name = label + std::to_string(emitted);
       pod.spec.cpu_request = config.pod_cores;
-      pod.spec.workload = runtime::shell_workload();
       pod.spec.workload.name = pod.name;
       pod.spec.workload.cpu_time = std::max<SimDuration>(
           sec(20), static_cast<SimDuration>(rng.next_exponential(
@@ -92,10 +113,8 @@ WorkloadTrace generate_trace(std::uint64_t seed, const TraceConfig& config) {
     }
   }
 
-  std::sort(trace.jobs.begin(), trace.jobs.end(),
-            [](const auto& a, const auto& b) { return a.submit < b.submit; });
-  std::sort(trace.pods.begin(), trace.pods.end(),
-            [](const auto& a, const auto& b) { return a.submit < b.submit; });
+  sort_by_submit(trace.jobs);
+  sort_by_submit(trace.pods);
   return trace;
 }
 

@@ -56,6 +56,9 @@ class EventQueue {
   /// fan-outs.
   void reserve(std::size_t events) { heap_.reserve(heap_.size() + events); }
 
+  /// Events the heap has room for without reallocating.
+  std::size_t capacity() const { return heap_.capacity(); }
+
   /// Runs the single next event. Returns false if the queue is empty.
   bool step();
 

@@ -133,13 +133,6 @@ class PageCache {
 
   void invalidate_all();
 
-  /// Online resize (the control plane's tier-sizing actuator): shrinking
-  /// evicts LRU entries down to the new bound; growing just raises it.
-  void set_capacity(std::uint64_t bytes) {
-    config_.capacity_bytes = bytes;
-    evict_to(bytes);
-  }
-
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }

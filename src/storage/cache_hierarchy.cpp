@@ -49,14 +49,6 @@ std::size_t CacheHierarchy::num_tiers() const {
   return tiers_.size();
 }
 
-bool CacheHierarchy::set_tier_capacity(std::size_t tier, std::uint64_t bytes) {
-  dcheck::AnnotatedLock lock(mu_, "cachehierarchy.mu");
-  if (tier >= tiers_.size()) return false;
-  if (dcheck::enabled())
-    dcheck::access_write(&stats_, "cachehierarchy.tier_state");
-  return tiers_[tier]->set_capacity(bytes);
-}
-
 ReadOutcome CacheHierarchy::read(SimTime now, const ChunkRequest& req) {
   dcheck::AnnotatedLock lock(mu_, "cachehierarchy.mu");
   if (dcheck::enabled()) {

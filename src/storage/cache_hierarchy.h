@@ -85,13 +85,6 @@ class CacheHierarchy {
 
   std::size_t num_tiers() const;
 
-  /// Online capacity change for one tier — the TierSizingPolicy
-  /// actuator (control/policies.h). Returns false for out-of-range
-  /// indices and for tiers that refuse resizing (terminals, keyed
-  /// stores). Shrinking evicts inside the tier; the freed bytes show up
-  /// at the next promotion, never as a time charge.
-  bool set_tier_capacity(std::size_t tier, std::uint64_t bytes);
-
   /// The timed read path: walk tiers, serve at the first holder,
   /// promote upward. An empty hierarchy completes at now + 1.
   ReadOutcome read(SimTime now, const ChunkRequest& req);

@@ -108,15 +108,6 @@ class ChunkSource {
   /// Capacity in bytes; 0 means unbounded / not applicable.
   virtual std::uint64_t capacity_bytes() const { return 0; }
 
-  /// Online capacity change (the control plane's TierSizingPolicy
-  /// actuator): shrinking evicts LRU entries down to the new bound.
-  /// Returns false (the default) for tiers whose capacity is not
-  /// theirs to change (terminal tiers, keyed stores).
-  virtual bool set_capacity(std::uint64_t bytes) {
-    (void)bytes;
-    return false;
-  }
-
   /// One metadata operation (open/stat) against this tier.
   virtual SimTime meta_op(SimTime now) { return now + 1; }
 

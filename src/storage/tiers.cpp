@@ -31,11 +31,6 @@ std::uint64_t PageCacheTier::capacity_bytes() const {
   return cache_->capacity_bytes();
 }
 
-bool PageCacheTier::set_capacity(std::uint64_t bytes) {
-  cache_->set_capacity(bytes);
-  return true;
-}
-
 // ---------------------------------------------------------------- NodeLocal
 
 NodeLocalTier::NodeLocalTier(sim::NodeLocalStorage& dev, bool caching,
@@ -108,14 +103,6 @@ void NodeLocalTier::evict_to(std::uint64_t target, std::uint64_t* evicted) {
 
 std::uint64_t NodeLocalTier::capacity_bytes() const {
   return caching_ ? capacity_ : dev_->capacity();
-}
-
-bool NodeLocalTier::set_capacity(std::uint64_t bytes) {
-  if (!caching_) return false;
-  capacity_ = bytes;
-  std::uint64_t evicted = 0;
-  evict_to(capacity_, &evicted);
-  return true;
 }
 
 SimTime NodeLocalTier::meta_op(SimTime now) {

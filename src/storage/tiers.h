@@ -39,7 +39,6 @@ class PageCacheTier : public ChunkSource {
                 std::uint64_t bytes) override;
   std::uint64_t admit(const std::string& key, std::uint64_t bytes) override;
   std::uint64_t capacity_bytes() const override;
-  bool set_capacity(std::uint64_t bytes) override;
 
  private:
   sim::PageCache* cache_;
@@ -68,10 +67,6 @@ class NodeLocalTier : public ChunkSource {
                 std::uint64_t bytes) override;
   std::uint64_t admit(const std::string& key, std::uint64_t bytes) override;
   std::uint64_t capacity_bytes() const override;
-  /// Cache mode only: resident tiers refuse (their capacity is the
-  /// device's). Shrinking evicts LRU entries and releases the freed
-  /// reservation back to the device.
-  bool set_capacity(std::uint64_t bytes) override;
   SimTime meta_op(SimTime now) override;
   SimTime stream_write(SimTime now, std::uint64_t bytes) override;
 
@@ -83,7 +78,7 @@ class NodeLocalTier : public ChunkSource {
 
   sim::NodeLocalStorage* dev_;
   bool caching_;
-  std::uint64_t capacity_ = 0;
+  const std::uint64_t capacity_;
   std::uint64_t used_ = 0;
   // LRU: list front = most recent (cache mode only).
   std::list<std::string> lru_;

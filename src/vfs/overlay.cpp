@@ -51,7 +51,7 @@ Result<OverlayFs::Found> OverlayFs::resolve(std::string_view path,
   int depth = 0;
   while (true) {
     if (cur == "/") {
-      if (canonical) *canonical = "/";
+      if (canonical) canonical->assign(1, '/');
       Stat s;
       s.type = FileType::kDir;
       s.meta = FileMeta{0, 0, 0755, 0};

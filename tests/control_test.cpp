@@ -1,13 +1,12 @@
 // tests/control_test.cpp — the closed-loop control plane suite
 // (DESIGN.md §15). Covers: StepGuard properties (a deadband-dithering
 // or boundary-sitting signal never actuates, steps are bounded and
-// clamped), DeltaTracker rate extraction, controller epoch scheduling on the sim::EventQueue, per-policy
-// steering behavior (prefetch ramps on sequential patterns, tier
-// sizing follows eviction pressure under a conserved budget, routing
-// flips to origin-first on degraded proxy EWMAs, engine selection
-// re-ranks on observed start latencies), and the two identity
-// contracts — a disabled controller is byte-identical to no controller
-// at all, and the same seed reproduces the same decision log.
+// clamped), DeltaTracker rate extraction, controller epoch scheduling
+// on the sim::EventQueue, per-policy steering behavior (prefetch ramps
+// on sequential patterns, routing flips to origin-first on degraded
+// proxy EWMAs), and the two identity contracts — a disabled controller
+// is byte-identical to no controller at all, and the same seed
+// reproduces the same decision log.
 // Suites are named Ctrl* so the CI TSan filter picks them up.
 #include "control/controller.h"
 
@@ -19,11 +18,8 @@
 #include <tuple>
 #include <vector>
 
-#include "adaptive/decision.h"
-#include "adaptive/requirements.h"
 #include "control/control.h"
 #include "control/policies.h"
-#include "engine/features.h"
 #include "fault/fault.h"
 #include "fault/retry.h"
 #include "image/build.h"
@@ -35,7 +31,6 @@
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/storage.h"
-#include "storage/cache_hierarchy.h"
 #include "storage/tiers.h"
 #include "util/rng.h"
 #include "vfs/layer.h"
@@ -329,70 +324,6 @@ TEST(CtrlPrefetch, IdleMountHolds) {
   EXPECT_EQ(tuning->prefetch_depth(), 4u);
 }
 
-// ----------------------------------------------------- TierSizingPolicy
-
-TEST(CtrlTierSizing, FollowsEvictionPressureUnderAConservedBudget) {
-  sim::PageCacheConfig pcfg;
-  pcfg.capacity_bytes = 2ull << 20;  // tiny DRAM tier: it will thrash
-  sim::PageCache pc(pcfg);
-  sim::NodeLocalStorage local;
-  sim::SharedFilesystem fs;
-  storage::CacheHierarchy chain;
-  chain.add_tier(storage::page_cache_tier(pc));
-  chain.add_tier(storage::NodeLocalTier::cache(local, 32ull << 20));
-  chain.add_tier(storage::shared_fs_tier(fs));
-
-  control::TierSizingPolicy p(&chain, /*upper=*/0, /*lower=*/1);
-  const std::uint64_t budget = p.budget_bytes();
-  EXPECT_EQ(budget, (2ull << 20) + (32ull << 20));
-  const double share0 = p.upper_share();
-
-  EpochContext ctx;
-  auto churn = [&] {
-    // A working set larger than the upper tier: every pass evicts.
-    SimTime t = 0;
-    for (unsigned i = 0; i < 8; ++i)
-      t = chain.read(t, {"blk:" + std::to_string(i), 1u << 20}).done;
-  };
-  std::optional<Proposal> moved;
-  for (int epoch = 0; epoch < 3 && !moved; ++epoch) {
-    churn();
-    moved = p.evaluate(ctx);
-    if (moved) p.actuate(*moved);
-  }
-  ASSERT_TRUE(moved.has_value());
-  EXPECT_GT(p.upper_share(), share0);  // capacity flowed to the thrasher
-
-  // Budget conservation: the two tiers still sum to the same bytes.
-  const auto topo = chain.topology();
-  EXPECT_EQ(topo.tiers[0].capacity_bytes + topo.tiers[1].capacity_bytes,
-            budget);
-  EXPECT_GT(topo.tiers[0].capacity_bytes, 2ull << 20);
-  // Bounded step: one epoch moved the share by at most the default
-  // guard's max_step (0.1 of the budget).
-  EXPECT_LE(p.upper_share(), share0 + 0.1 + 1e-9);
-}
-
-TEST(CtrlTierSizing, NoEvictionsHoldsTheSplit) {
-  sim::PageCache pc;  // default capacity: plenty for the working set
-  sim::NodeLocalStorage local;
-  sim::SharedFilesystem fs;
-  storage::CacheHierarchy chain;
-  chain.add_tier(storage::page_cache_tier(pc));
-  chain.add_tier(storage::NodeLocalTier::cache(local, 32ull << 20));
-  chain.add_tier(storage::shared_fs_tier(fs));
-
-  control::TierSizingPolicy p(&chain, 0, 1);
-  const double share0 = p.upper_share();
-  SimTime t = 0;
-  for (unsigned i = 0; i < 4; ++i)
-    t = chain.read(t, {"blk:" + std::to_string(i), 64u << 10}).done;
-  EpochContext ctx;
-  for (int epoch = 0; epoch < 3; ++epoch)
-    EXPECT_FALSE(p.evaluate(ctx).has_value());
-  EXPECT_DOUBLE_EQ(p.upper_share(), share0);
-}
-
 // -------------------------------------------------------- RoutingPolicy
 
 struct PullSetup {
@@ -496,72 +427,6 @@ TEST(CtrlRouting, UnexercisedProxyHolds) {
     EXPECT_FALSE(policy.evaluate(ctx).has_value());
   EXPECT_EQ(client.route_preference(),
             registry::RegistryClient::RoutePreference::kProxyFirst);
-}
-
-// --------------------------------------------------- EngineSelectPolicy
-
-/// The two best feasible engines for the site, in score order.
-std::vector<engine::EngineKind> top_two_engines(
-    const adaptive::DecisionEngine& engine) {
-  const auto report = engine.decide();
-  std::vector<engine::EngineKind> kinds;
-  for (const auto& opt : report.engines) {
-    if (!opt.feasible) continue;
-    for (int k = 0; k <= static_cast<int>(engine::EngineKind::kEnroot); ++k) {
-      const auto kind = static_cast<engine::EngineKind>(k);
-      if (engine::to_string(kind) == opt.name) kinds.push_back(kind);
-    }
-    if (kinds.size() == 2) break;
-  }
-  return kinds;
-}
-
-TEST(CtrlEngineSelect, HoldsUntilEveryCandidateIsSampled) {
-  adaptive::DecisionEngine engine(adaptive::pragmatic_hpc_site());
-  const auto candidates = top_two_engines(engine);
-  ASSERT_EQ(candidates.size(), 2u);
-  control::EngineSelectPolicy p(&engine, "mpi-sim", candidates);
-  EpochContext ctx;
-  EXPECT_FALSE(p.evaluate(ctx).has_value());  // zero data
-  p.observe(candidates[0], msec(200));
-  EXPECT_FALSE(p.evaluate(ctx).has_value());  // one candidate still dark
-  EXPECT_EQ(p.selected(), candidates[0]);
-}
-
-TEST(CtrlEngineSelect, ObservedLatencyFlipsTheSelectionAfterHysteresis) {
-  adaptive::DecisionEngine engine(adaptive::pragmatic_hpc_site());
-  const auto candidates = top_two_engines(engine);
-  ASSERT_EQ(candidates.size(), 2u);
-  control::EngineSelectPolicy p(&engine, "mpi-sim", candidates,
-                                /*blend=*/0.9, /*hysteresis_epochs=*/2);
-  // The incumbent (highest static score) starts 50x slower in practice.
-  for (int i = 0; i < 4; ++i) {
-    p.observe(candidates[0], msec(5000));
-    p.observe(candidates[1], msec(100));
-  }
-  EpochContext ctx;
-  EXPECT_FALSE(p.evaluate(ctx).has_value());  // challenger streak 1
-  const auto flip = p.evaluate(ctx);          // streak 2: flips
-  ASSERT_TRUE(flip.has_value());
-  p.actuate(*flip);
-  EXPECT_EQ(p.selected(), candidates[1]);
-  EXPECT_NE(flip->rationale.find(engine::to_string(candidates[1])),
-            std::string::npos);
-}
-
-TEST(CtrlEngineSelect, IncumbentWinnerNeverFlips) {
-  adaptive::DecisionEngine engine(adaptive::pragmatic_hpc_site());
-  const auto candidates = top_two_engines(engine);
-  ASSERT_EQ(candidates.size(), 2u);
-  control::EngineSelectPolicy p(&engine, "mpi-sim", candidates);
-  for (int i = 0; i < 4; ++i) {
-    p.observe(candidates[0], msec(100));   // incumbent is also fastest
-    p.observe(candidates[1], msec(5000));
-  }
-  EpochContext ctx;
-  for (int epoch = 0; epoch < 4; ++epoch)
-    EXPECT_FALSE(p.evaluate(ctx).has_value());
-  EXPECT_EQ(p.selected(), candidates[0]);
 }
 
 // ----------------------------------------- identity + closed-loop runs

@@ -5,6 +5,9 @@
 // baseline under a skewed mix.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "orch/scenario.h"
 #include "orch/workload.h"
 #include "util/log.h"
@@ -93,6 +96,32 @@ TEST(WorkloadTest, PodBurstsPresent) {
   for (std::size_t i = 1; i < trace.pods.size(); ++i)
     if (trace.pods[i].submit == trace.pods[i - 1].submit) burst = true;
   EXPECT_TRUE(burst);
+}
+
+TEST(WorkloadTest, TiedPodsKeepEmissionOrder) {
+  // Burst pods share one submit time; the trace keeps them in the order
+  // they were generated, which each pod name's numeric suffix records.
+  TraceConfig cfg;
+  cfg.duration = minutes(240);
+  cfg.job_rate_per_hour = 24;
+  cfg.pod_rate_per_hour = 240;
+  auto emission_index = [](const std::string& name) {
+    const std::size_t digits = name.find_last_not_of("0123456789") + 1;
+    return std::stoul(name.substr(digits));
+  };
+  for (const std::uint64_t seed : {1ull, 2ull, 104729ull}) {
+    const auto trace = generate_trace(seed, cfg);
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < trace.pods.size(); ++i) {
+      const auto& prev = trace.pods[i - 1];
+      const auto& cur = trace.pods[i];
+      if (prev.submit != cur.submit) continue;
+      ++ties;
+      EXPECT_LT(emission_index(prev.name), emission_index(cur.name))
+          << "seed " << seed << ": " << prev.name << " before " << cur.name;
+    }
+    EXPECT_GT(ties, 0u) << "seed " << seed;
+  }
 }
 
 // -------------------------------------------------- All scenarios complete

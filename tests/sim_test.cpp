@@ -1,6 +1,7 @@
 // Unit tests for hpcc_sim: DES kernel ordering, FIFO station queueing,
 // rate limiting, storage contention, page cache LRU, network transfer
-// and cluster reprovisioning.
+// (including the §3.2 overlay-network penalty) and cluster
+// reprovisioning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -149,9 +150,12 @@ TEST(EventQueueTest, NegativeDelayClampsToNow) {
 TEST(EventQueueTest, ReservePresizesHeapStorage) {
   EventQueue q;
   q.reserve(500);
+  const std::size_t reserved = q.capacity();
+  EXPECT_GE(reserved, 500u);
   std::vector<int> order;
   for (int i = 0; i < 500; ++i)
     q.schedule_at(i / 7, [&order, i] { order.push_back(i); });
+  EXPECT_EQ(q.capacity(), reserved);  // filling never reallocated
   q.run();
   ASSERT_EQ(order.size(), 500u);
   for (int i = 0; i < 500; ++i) EXPECT_EQ(order[i], i);
@@ -556,6 +560,31 @@ TEST(NetworkTest, WanIsMuchSlowerThanFabric) {
   const SimTime wan = net2.wan_transfer(0, 0, mb);
   EXPECT_GT(wan, hsn * 10);
   EXPECT_EQ(net2.wan_bytes(), mb);
+}
+
+// ------------------------------------------- overlay network (§3.2 cost)
+
+TEST(OverlayNetworkTest, OverlaySlowerThanHostNetwork) {
+  sim::Network net(4);
+  const std::uint64_t msg = 1 << 20;
+  const SimTime host = net.transfer(0, 0, 1, msg);
+  sim::Network net2(4);
+  const SimTime overlay = net2.overlay_transfer(0, 0, 1, msg);
+  EXPECT_GT(overlay, host * 2);  // bandwidth haircut dominates large msgs
+}
+
+TEST(OverlayNetworkTest, SmallMessageLatencyPenalty) {
+  sim::Network host_net(4), overlay_net(4);
+  // 64-byte latency-bound message (an MPI ping): the overlay pays the
+  // encapsulation latency on both ends.
+  const SimTime host = host_net.transfer(0, 0, 1, 64);
+  const SimTime overlay = overlay_net.overlay_transfer(0, 0, 1, 64);
+  EXPECT_GT(overlay, host + usec(50));
+}
+
+TEST(OverlayNetworkTest, LoopbackStillPaysEncapsulation) {
+  sim::Network net(2);
+  EXPECT_GT(net.overlay_transfer(0, 1, 1, 1024), net.transfer(0, 1, 1, 1024));
 }
 
 // ---------------------------------------------------------------- Cluster

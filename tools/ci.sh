@@ -2,7 +2,8 @@
 # Local CI entry point: builds the normal and sanitizer configurations
 # and runs the full test suite under both, plus a ThreadSanitizer pass
 # over the concurrency tests, quick bench smokes and a one-second run of
-# each perfbench workload.
+# each perfbench workload. The normal configuration treats every
+# compiler warning as an error, so the build stays warning-free.
 #
 #   tools/ci.sh              # build + ctest, ASan/UBSan, TSan, bench smoke
 #   SKIP_SAN=1 tools/ci.sh   # skip the ASan/UBSan configuration
@@ -56,7 +57,7 @@ if [[ "$knobs_src" != "$knobs_doc" ]]; then
 fi
 echo "knob check: $(echo "$knobs_src" | wc -l) knobs, README agrees"
 
-run_config "$repo_root/build"
+run_config "$repo_root/build" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 if [[ "${SKIP_SAN:-}" != "1" ]]; then
   run_config "$repo_root/build-asan" -DHPCC_SANITIZE=address,undefined
