@@ -63,6 +63,19 @@ struct CollectOptions {
   double extra_useful_core_usec = 0.0;
 };
 
+/// Mean and p95 pod start latency over `latencies` (sorted in place);
+/// both stay 0 when no pod started.
+void set_pod_start_latency(ScenarioMetrics& m,
+                           std::vector<SimDuration>& latencies) {
+  if (latencies.empty()) return;
+  SimDuration total = 0;
+  for (auto l : latencies) total += l;
+  m.mean_pod_start_latency = total / static_cast<SimDuration>(latencies.size());
+  std::sort(latencies.begin(), latencies.end());
+  m.p95_pod_start_latency = latencies[static_cast<std::size_t>(
+      0.95 * static_cast<double>(latencies.size() - 1))];
+}
+
 class ScenarioBase : public IntegrationScenario {
  public:
   explicit ScenarioBase(ScenarioConfig config) : cfg_(config) {
@@ -80,6 +93,22 @@ class ScenarioBase : public IntegrationScenario {
     return [this](SimTime now, const k8s::Pod& pod) -> Result<SimTime> {
       return now + cfg_.pod_cold_start + pod.spec.workload.cpu_time;
     };
+  }
+
+  /// A whole-node kubelet for sim node `node`, registered with `api` as
+  /// `name` and started now. `cgroup_ready`, when set, is the §6.5
+  /// delegation check its start() verifies.
+  std::unique_ptr<k8s::Kubelet> start_kubelet(
+      k8s::ApiServer& api, std::string name, sim::NodeId node,
+      std::function<bool()> cgroup_ready = {}) {
+    k8s::Kubelet::Config kc;
+    kc.node_name = std::move(name);
+    kc.capacity_cores = cfg_.cores_per_node;
+    kc.sim_node = node;
+    kc.cgroup_ready_check = std::move(cgroup_ready);
+    auto kubelet = std::make_unique<k8s::Kubelet>(&api, kc, default_runner());
+    (void)kubelet->start(events().now());
+    return kubelet;
   }
 
   void submit_trace_jobs(wlm::SlurmWlm& wlm, const WorkloadTrace& trace) {
@@ -210,7 +239,6 @@ class ScenarioBase : public IntegrationScenario {
       if (lj.started >= 0 && lj.ended >= 0) {
         job_node_usec += static_cast<double>(lj.nodes) *
                          static_cast<double>(lj.ended - lj.started);
-        m.mean_job_wait += 0;  // ledger waits folded below
         makespan = std::max(makespan, lj.ended);
         ++m.jobs_completed;
       }
@@ -228,16 +256,7 @@ class ScenarioBase : public IntegrationScenario {
     }
 
     m.makespan = makespan;
-    if (!latencies.empty()) {
-      SimDuration total = 0;
-      for (auto l : latencies) total += l;
-      m.mean_pod_start_latency =
-          total / static_cast<SimDuration>(latencies.size());
-      std::sort(latencies.begin(), latencies.end());
-      m.p95_pod_start_latency =
-          latencies[static_cast<std::size_t>(
-              0.95 * static_cast<double>(latencies.size() - 1))];
-    }
+    set_pod_start_latency(m, latencies);
 
     const double useful = job_node_usec + pod_node_usec;
     if (makespan > 0) {
@@ -321,15 +340,9 @@ class StaticPartitioningScenario final : public ScenarioBase {
       HPCC_TRY_UNIT(wlm.drain(n));
 
     cp.start(0, [&] {
-      for (std::uint32_t n = hpc_nodes; n < cfg_.num_nodes; ++n) {
-        k8s::Kubelet::Config kc;
-        kc.node_name = "nid" + std::to_string(n);
-        kc.capacity_cores = cfg_.cores_per_node;
-        kc.sim_node = n;
-        kubelets.push_back(std::make_unique<k8s::Kubelet>(
-            &cp.api(), kc, default_runner()));
-        (void)kubelets.back()->start(events().now());
-      }
+      for (std::uint32_t n = hpc_nodes; n < cfg_.num_nodes; ++n)
+        kubelets.push_back(
+            start_kubelet(cp.api(), "nid" + std::to_string(n), n));
     });
 
     submit_trace_jobs(wlm, trace);
@@ -403,14 +416,8 @@ class OnDemandReallocationScenario final : public ScenarioBase {
         ++reconfigurations_;
         (void)wlm.drain(node, [this, &wlm, &cp, node] {
           (void)cluster_->reprovision(node, [this, &cp, node] {
-            k8s::Kubelet::Config kc;
-            kc.node_name = "nid" + std::to_string(node);
-            kc.capacity_cores = cfg_.cores_per_node;
-            kc.sim_node = node;
-            auto kubelet = std::make_unique<k8s::Kubelet>(&cp.api(), kc,
-                                                          default_runner());
-            (void)kubelet->start(events().now());
-            kubelets_[node] = std::move(kubelet);
+            kubelets_[node] =
+                start_kubelet(cp.api(), "nid" + std::to_string(node), node);
             k8s_since_[node] = events().now();
             converting_.erase(node);
           });
@@ -475,15 +482,9 @@ class WlmInK8sScenario final : public ScenarioBase {
     cp.start(0, [&] {
       // Every kubelet registration schedules one event at once.
       events().reserve(cfg_.num_nodes);
-      for (std::uint32_t n = 0; n < cfg_.num_nodes; ++n) {
-        k8s::Kubelet::Config kc;
-        kc.node_name = "nid" + std::to_string(n);
-        kc.capacity_cores = cfg_.cores_per_node;
-        kc.sim_node = n;
-        kubelets.push_back(std::make_unique<k8s::Kubelet>(
-            &cp.api(), kc, default_runner()));
-        (void)kubelets.back()->start(events().now());
-      }
+      for (std::uint32_t n = 0; n < cfg_.num_nodes; ++n)
+        kubelets.push_back(
+            start_kubelet(cp.api(), "nid" + std::to_string(n), n));
     });
 
     // HPC jobs become groups of privileged whole-node agent pods; the
@@ -584,7 +585,9 @@ class K8sInWlmScenario final : public ScenarioBase {
     const SimTime horizon = trace.last_arrival() + 8 * minutes(60);
     while (events().now() < horizon) {
       events().run_until(events().now() + sec(30));
-      if (sessions_done_ == sessions.size() && jobs_done(wlm, trace)) break;
+      if (sessions_done_ == sessions.size() &&
+          all_done(trace, nullptr, &wlm))
+        break;
       if (events().empty()) break;
     }
     events().run_until(events().now() + minutes(5));
@@ -598,37 +601,14 @@ class K8sInWlmScenario final : public ScenarioBase {
                 "long startup (survey §6.3)", options);
     m.pods_completed = pods_completed_;
     m.pods_failed = pods_failed_;
-    if (!latencies_.empty()) {
-      SimDuration total = 0;
-      for (auto l : latencies_) total += l;
-      m.mean_pod_start_latency =
-          total / static_cast<SimDuration>(latencies_.size());
-      std::sort(latencies_.begin(), latencies_.end());
-      m.p95_pod_start_latency = latencies_[static_cast<std::size_t>(
-          0.95 * static_cast<double>(latencies_.size() - 1))];
-    }
-    // Pod compute ran inside allocations already counted through the
-    // agent jobs' node-time; utilization/coverage recomputed there.
+    set_pod_start_latency(m, latencies_);
+    // Pod compute ran inside the session allocations, which are WLM
+    // jobs, so collect() already counted it in utilization and coverage.
     m.makespan = std::max(m.makespan, last_pod_finish_);
-    if (m.makespan > 0) {
-      // job_node_usec includes the session allocations (they are WLM
-      // jobs), so utilization is already consistent; nothing to add.
-    }
     return m;
   }
 
  private:
-  bool jobs_done(wlm::SlurmWlm& wlm, const WorkloadTrace& trace) {
-    if (trace_job_ids_.size() < trace.jobs.size()) return false;
-    for (auto id : trace_job_ids_) {
-      const auto rec = wlm.job(id);
-      if (rec.ok() && (rec.value()->state == wlm::JobState::kPending ||
-                       rec.value()->state == wlm::JobState::kRunning))
-        return false;
-    }
-    return true;
-  }
-
   struct Session {
     std::unique_ptr<k8s::ControlPlane> cp;
     std::vector<std::unique_ptr<k8s::Kubelet>> kubelets;
@@ -654,15 +634,9 @@ class K8sInWlmScenario final : public ScenarioBase {
       session->cp = std::make_unique<k8s::ControlPlane>(
           &events(), k8s::ControlPlaneKind::kK3s);
       session->cp->start(events().now(), [this, &wlm, session, pods, nodes] {
-        for (sim::NodeId n : nodes) {
-          k8s::Kubelet::Config kc;
-          kc.node_name = "alloc-nid" + std::to_string(n);
-          kc.capacity_cores = cfg_.cores_per_node;
-          kc.sim_node = n;
-          session->kubelets.push_back(std::make_unique<k8s::Kubelet>(
-              &session->cp->api(), kc, default_runner()));
-          (void)session->kubelets.back()->start(events().now());
-        }
+        for (sim::NodeId n : nodes)
+          session->kubelets.push_back(start_kubelet(
+              session->cp->api(), "alloc-nid" + std::to_string(n), n));
         // Completion tracking. Weak capture: the watcher lives inside
         // the session's own ApiServer, so a strong capture would be a
         // reference cycle.
@@ -867,20 +841,14 @@ class KubeletInAllocationScenario final : public ScenarioBase {
         agent_pending_ = false;
         agent_jobs_.insert(id);
         for (sim::NodeId n : nodes) {
-          k8s::Kubelet::Config kc;
-          kc.node_name = "alloc" + std::to_string(id) + "-nid" +
-                         std::to_string(n);
-          kc.capacity_cores = cfg_.cores_per_node;
-          kc.sim_node = n;
           // The §6.5 precondition: the job cgroup must be v2-delegated.
-          kc.cgroup_ready_check = [&wlm, n, id] {
-            return wlm.node_cgroups(n).rootless_ready(
-                "/slurm/job" + std::to_string(id));
-          };
-          auto kubelet = std::make_unique<k8s::Kubelet>(&cp.api(), kc,
-                                                        default_runner());
-          (void)kubelet->start(events().now());
-          kubelets_[id].push_back(std::move(kubelet));
+          kubelets_[id].push_back(start_kubelet(
+              cp.api(),
+              "alloc" + std::to_string(id) + "-nid" + std::to_string(n), n,
+              [&wlm, n, id] {
+                return wlm.node_cgroups(n).rootless_ready(
+                    "/slurm/job" + std::to_string(id));
+              }));
         }
         schedule_idle_check(wlm, cp, id);
       };

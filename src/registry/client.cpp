@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "dcheck/dcheck.h"
-#include "image/blob_tier.h"
 #include "obs/obs.h"
-#include "storage/cache_hierarchy.h"
-#include "storage/tiers.h"
 
 namespace hpcc::registry {
 
@@ -81,10 +78,86 @@ Result<Unit> RegistryClient::finish_layers(
   return ok_unit();
 }
 
+Result<PullResult> RegistryClient::pull_blobs(image::OciManifest manifest,
+                                              SimTime t,
+                                              obs::SpanScope& pull_span,
+                                              image::BlobStore* local,
+                                              image::BlobStore* config_store,
+                                              const BlobFetch& fetch) {
+  PullResult out;
+  out.manifest = std::move(manifest);
+  const crypto::Digest& config_digest = out.manifest.config_digest;
+  obs::SpanScope config_span;
+  if (obs::tracing_enabled())
+    config_span = obs::SpanScope(obs::Category::kRegistry, "config", t);
+  if (config_store != nullptr && config_store->contains(config_digest)) {
+    // Held: deserialize from the CAS, no transfer charged.
+    HPCC_TRY(const Bytes* cached, config_store->get(config_digest));
+    HPCC_TRY(out.config, image::ImageConfig::deserialize(*cached));
+  } else {
+    auto fetched_config = fetch(config_digest, t);
+    config_span.stamp(t);
+    HPCC_TRY(Bytes config_blob, std::move(fetched_config));
+    HPCC_TRY_UNIT(crypto::verify_digest(config_blob, config_digest));
+    out.bytes_transferred += config_blob.size();
+    HPCC_TRY(out.config, image::ImageConfig::deserialize(config_blob));
+    if (config_store != nullptr)
+      config_store->put_with_digest(std::move(config_blob), config_digest);
+  }
+  config_span.end(t);
+  pull_span.stamp(t);
+
+  // Phase 1 (strictly sequential, manifest order): layer skips, blob
+  // fetches and every timed interaction of the leg. This is what keeps
+  // `done`/`bytes_transferred` and the source's queueing state identical
+  // whether or not phase 2 runs on a pool.
+  const std::size_t n = out.manifest.layer_digests.size();
+  std::vector<std::optional<Bytes>> fetched(n);
+  std::vector<SimTime> layer_done(n, t);
+  std::optional<Error> fetch_error;
+  std::size_t reached = 0;
+  for (std::size_t i = 0; i < n; ++i, ++reached) {
+    const auto& digest = out.manifest.layer_digests[i];
+    obs::SpanScope layer_span;
+    if (obs::tracing_enabled())
+      layer_span = obs::SpanScope(obs::Category::kRegistry,
+                                  "layer:" + std::to_string(i), t);
+    if (local && local->contains(digest)) {
+      // Held: fetched[i] stays empty so phase 2 decodes from the store.
+      ++out.layers_skipped;
+      obs::count("registry.layers_skipped");
+      layer_done[i] = t;
+      layer_span.end(t);
+      continue;
+    }
+    auto blob = fetch(digest, t);
+    layer_done[i] = t;
+    layer_span.end(t);
+    pull_span.stamp(t);
+    if (!blob.ok()) {
+      // This layer is not part of the pull (reached == i), but the time
+      // the leg spent failing stays charged.
+      fetch_error = blob.error();
+      break;
+    }
+    out.bytes_transferred += blob.value().size();
+    obs::count("registry.layers_fetched");
+    fetched[i] = std::move(blob).value();
+  }
+
+  HPCC_TRY_UNIT(
+      finish_layers(out.manifest, fetched, reached, layer_done, local, out));
+  if (fetch_error) return *fetch_error;
+  out.done = t;
+  if (obs::metrics_enabled())
+    obs::metrics().counter("registry.pull_bytes").add(out.bytes_transferred);
+  pull_span.end(t);
+  return out;
+}
+
 Result<PullResult> RegistryClient::pull(SimTime now, OciRegistry& reg,
                                         const image::ImageReference& ref,
                                         image::BlobStore* local) {
-  PullResult out;
   SimTime retry = 0;
   auto admitted = reg.admit_pull(now, &retry);
   if (!admitted.ok()) return admitted.error();
@@ -105,144 +178,53 @@ Result<PullResult> RegistryClient::pull(SimTime now, OciRegistry& reg,
   SimTime t = reg.serve_request(now);
   manifest_span.stamp(t);
   pull_span.stamp(t);
-  HPCC_TRY(out.manifest, reg.get_manifest(ref));
+  HPCC_TRY(auto manifest, reg.get_manifest(ref));
   manifest_span.end(t);
 
-  // The pull's blob path as a tier chain: the local CAS on top (a blob
-  // the node already holds is a cache hit, §3.1 dedup), the registry
-  // fetch path — frontend, egress, WAN — as the origin below it.
-  //
-  // The origin runs each fetch through the retry policy. OriginTier has
-  // no error channel (it returns a completion time), so an exhausted
-  // retry budget is reported through `origin_error` and checked after
-  // every chain read; the failed attempts' sim time stays charged.
+  // Each blob crosses the registry frontend, its egress and the WAN
+  // under the retry policy. An exhausted budget leaves `at` at the
+  // failure: the failed attempts' sim time stays charged.
   Rng jitter(retry_.jitter_seed);
-  std::optional<Error> origin_error;
-  storage::CacheHierarchy chain;
-  if (local != nullptr) chain.add_tier(image::blob_store_tier(*local));
-  chain.add_tier(storage::origin_tier(
-      "registry-wan", [&](SimTime t0, std::uint64_t bytes) {
-        SimTime failed_at = t0;
-        auto r = fault::retry_timed(
-            t0, retry_, jitter,
-            [&](SimTime start, SimTime* fa) -> Result<SimTime> {
-              SimTime a = start;
-              if (faults_ != nullptr && faults_->enabled()) {
-                const auto d = faults_->decide(fault::Domain::kRegistry, a);
-                if (d.auth_expired) {
-                  // Token expired mid-pull: one round-trip to notice the
-                  // 401, one to refresh, then the fetch proceeds.
-                  ++auth_refreshes_;
-                  obs::count("registry.auth_refreshes");
-                  a = reg.serve_request(a);
-                  a = reg.serve_request(a);
-                } else if (d.fail) {
-                  // Frontend 5xx: the request was serviced, no bytes moved.
-                  a = reg.serve_request(a);
-                  if (fa) *fa = a;
-                  return err_unavailable("registry returned 5xx");
-                } else if (d.degrade) {
-                  a += d.extra_latency;
-                }
-              }
+  const auto fetch = [&](const crypto::Digest& digest,
+                         SimTime& at) -> Result<Bytes> {
+    HPCC_TRY(Bytes blob, reg.get_blob(digest));
+    const std::uint64_t bytes = blob.size();
+    SimTime failed_at = at;
+    auto r = fault::retry_timed(
+        at, retry_, jitter,
+        [&](SimTime start, SimTime* fa) -> Result<SimTime> {
+          SimTime a = start;
+          if (faults_ != nullptr && faults_->enabled()) {
+            const auto d = faults_->decide(fault::Domain::kRegistry, a);
+            if (d.auth_expired) {
+              // Token expired mid-pull: one round-trip to notice the
+              // 401, one to refresh, then the fetch proceeds.
+              ++auth_refreshes_;
+              obs::count("registry.auth_refreshes");
               a = reg.serve_request(a);
-              a = reg.serve_transfer(a, bytes);
-              return network_->try_wan_transfer(a, node_, bytes, fa);
-            },
-            &retry_stats_, &failed_at);
-        if (!r.ok()) {
-          origin_error = r.error();
-          last_failed_at_ = failed_at;
-          return failed_at;
-        }
-        return r.value();
-      }));
-
-  // Config blob.
-  obs::SpanScope config_span;
-  if (obs::tracing_enabled())
-    config_span = obs::SpanScope(obs::Category::kRegistry, "config", t);
-  const std::string config_key = "blob:" + out.manifest.config_digest.hex();
-  if (local != nullptr && local->contains(out.manifest.config_digest)) {
-    // Local hit: deserialize from the CAS, no transfer charged.
-    HPCC_TRY(const Bytes* cached, local->get(out.manifest.config_digest));
-    t = chain.read(t, {config_key, cached->size()}).done;
-    config_span.stamp(t);
-    HPCC_TRY(out.config, image::ImageConfig::deserialize(*cached));
-  } else {
-    HPCC_TRY(Bytes config_blob, reg.get_blob(out.manifest.config_digest));
-    HPCC_TRY_UNIT(
-        crypto::verify_digest(config_blob, out.manifest.config_digest));
-    t = chain.read(t, {config_key, config_blob.size()}).done;
-    config_span.stamp(t);
-    if (origin_error) return *origin_error;
-    out.bytes_transferred += config_blob.size();
-    HPCC_TRY(out.config, image::ImageConfig::deserialize(config_blob));
-    if (local)
-      local->put_with_digest(std::move(config_blob),
-                             out.manifest.config_digest);
-  }
-  config_span.end(t);
-  pull_span.stamp(t);
-
-  // Phase 1 (strictly sequential, manifest order): cache checks, blob
-  // fetches and every timed interaction — frontend service, registry
-  // egress, WAN transfer. This is what keeps `done`/`bytes_transferred`
-  // and the registry's queueing state identical whether or not phase 2
-  // runs on a pool.
-  const std::size_t n = out.manifest.layer_digests.size();
-  std::vector<std::optional<Bytes>> fetched(n);
-  std::vector<SimTime> layer_done(n, t);
-  std::optional<Error> fetch_error;
-  std::size_t reached = 0;
-  for (std::size_t i = 0; i < n; ++i, ++reached) {
-    const auto& digest = out.manifest.layer_digests[i];
-    const std::string key = "blob:" + digest.hex();
-    obs::SpanScope layer_span;
-    if (obs::tracing_enabled())
-      layer_span = obs::SpanScope(obs::Category::kRegistry,
-                                  "layer:" + std::to_string(i), t);
-    if (local && local->contains(digest)) {
-      ++out.layers_skipped;
-      obs::count("registry.layers_skipped");
-      // Blob-tier hit: zero-latency serve, counted in the chain stats;
-      // fetched[i] stays empty so phase 2 decodes from the local store.
-      const std::uint64_t size =
-          i < out.manifest.layer_sizes.size() ? out.manifest.layer_sizes[i] : 0;
-      t = chain.read(t, {key, size}).done;
-      layer_done[i] = t;
-      layer_span.end(t);
-      pull_span.stamp(t);
-      continue;
+              a = reg.serve_request(a);
+            } else if (d.fail) {
+              // Frontend 5xx: the request was serviced, no bytes moved.
+              a = reg.serve_request(a);
+              if (fa) *fa = a;
+              return err_unavailable("registry returned 5xx");
+            } else if (d.degrade) {
+              a += d.extra_latency;
+            }
+          }
+          a = reg.serve_request(a);
+          a = reg.serve_transfer(a, bytes);
+          return network_->try_wan_transfer(a, node_, bytes, fa);
+        },
+        &retry_stats_, &failed_at);
+    if (!r.ok()) {
+      at = last_failed_at_ = failed_at;
+      return r.error();
     }
-    auto blob = reg.get_blob(digest);
-    if (!blob.ok()) {
-      fetch_error = blob.error();
-      break;
-    }
-    t = chain.read(t, {key, blob.value().size()}).done;
-    layer_done[i] = t;
-    layer_span.end(t);
-    pull_span.stamp(t);
-    if (origin_error) {
-      // Retries exhausted on this layer's fetch: it is not part of the
-      // pull (reached == i), but the time spent failing stays charged.
-      fetch_error = origin_error;
-      break;
-    }
-    out.bytes_transferred += blob.value().size();
-    obs::count("registry.layers_fetched");
-    fetched[i] = std::move(blob).value();
-  }
-
-  HPCC_TRY_UNIT(
-      finish_layers(out.manifest, fetched, reached, layer_done, local, out));
-  if (fetch_error) return *fetch_error;
-  out.done = t;
-  if (obs::metrics_enabled())
-    obs::metrics().counter("registry.pull_bytes").add(out.bytes_transferred);
-  pull_span.end(t);
-  return out;
+    at = r.value();
+    return blob;
+  };
+  return pull_blobs(std::move(manifest), t, pull_span, local, local, fetch);
 }
 
 Result<PullResult> RegistryClient::pull_via_proxy(
@@ -254,92 +236,48 @@ Result<PullResult> RegistryClient::pull_via_proxy(
 Result<PullResult> RegistryClient::proxy_pull_impl(
     SimTime now, PullThroughProxy& proxy, const image::ImageReference& ref,
     image::BlobStore* local, bool hedge_leg) {
-  PullResult out;
-  // Site-network legs (proxy → node) go through the retry policy too:
-  // the fabric can drop a transfer (kFabric), and a pull should survive
-  // a blip without abandoning the proxy path. A hedge leg instead rides
-  // the contention-free estimate: it races a cancellable primary, so it
-  // must not occupy NIC queues or consume kFabric draws (client.h).
-  Rng jitter(retry_.jitter_seed);
-  auto site_transfer = [&](SimTime t0,
-                           std::uint64_t bytes) -> Result<SimTime> {
-    if (hedge_leg) return network_->transfer_estimate(t0, 0, node_, bytes);
-    SimTime failed_at = t0;
-    auto r = fault::retry_timed(
-        t0, retry_, jitter,
-        [&](SimTime start, SimTime* fa) {
-          return network_->try_transfer(start, 0, node_, bytes, fa);
-        },
-        &retry_stats_, &failed_at);
-    if (!r.ok()) last_failed_at_ = failed_at;
-    return r;
-  };
-
   obs::count("registry.proxy_pulls");
   obs::SpanScope pull_span;
   if (obs::tracing_enabled())
     pull_span = obs::SpanScope(obs::Category::kRegistry,
                                "pull-proxy:" + ref.to_string(), now);
 
-  HPCC_TRY(const auto mres, proxy.fetch_manifest(now, ref));
-  out.manifest = mres.manifest;
-  SimTime t = mres.done;
-  pull_span.stamp(t);
+  HPCC_TRY(auto mres, proxy.fetch_manifest(now, ref));
+  pull_span.stamp(mres.done);
 
-  HPCC_TRY(const auto cres, proxy.fetch_blob(t, out.manifest.config_digest));
-  HPCC_TRY(t, site_transfer(cres.done, cres.blob.size()));
-  pull_span.stamp(t);
-  out.bytes_transferred += cres.blob.size();
-  HPCC_TRY(out.config, image::ImageConfig::deserialize(cres.blob));
-
-  // Phase 1: proxy fetches and site-network transfers, in manifest order
-  // (the proxy's cache and queue state mutate per fetch).
-  const std::size_t n = out.manifest.layer_digests.size();
-  std::vector<std::optional<Bytes>> fetched(n);
-  std::vector<SimTime> layer_done(n, t);
-  std::optional<Error> fetch_error;
-  std::size_t reached = 0;
-  for (std::size_t i = 0; i < n; ++i, ++reached) {
-    const auto& digest = out.manifest.layer_digests[i];
-    obs::SpanScope layer_span;
-    if (obs::tracing_enabled())
-      layer_span = obs::SpanScope(obs::Category::kRegistry,
-                                  "layer:" + std::to_string(i), t);
-    if (local && local->contains(digest)) {
-      ++out.layers_skipped;
-      obs::count("registry.layers_skipped");
-      layer_done[i] = t;
-      layer_span.end(t);
-      continue;
+  // Each blob comes from the proxy, then crosses the site network
+  // (node-to-node speed, not WAN) under the retry policy: the fabric can
+  // drop a transfer (kFabric), and a pull should survive a blip without
+  // abandoning the proxy path. A hedge leg instead rides the
+  // contention-free estimate: it races a cancellable primary, so it must
+  // not occupy NIC queues or consume kFabric draws (client.h).
+  Rng jitter(retry_.jitter_seed);
+  const auto fetch = [&](const crypto::Digest& digest,
+                         SimTime& at) -> Result<Bytes> {
+    HPCC_TRY(auto res, proxy.fetch_blob(at, digest));
+    const std::uint64_t bytes = res.blob.size();
+    if (hedge_leg) {
+      at = network_->transfer_estimate(res.done, 0, node_, bytes);
+      return std::move(res.blob);
     }
-    auto bres = proxy.fetch_blob(t, digest);
-    if (!bres.ok()) {
-      fetch_error = bres.error();
-      break;
+    SimTime failed_at = res.done;
+    auto r = fault::retry_timed(
+        res.done, retry_, jitter,
+        [&](SimTime start, SimTime* fa) {
+          return network_->try_transfer(start, 0, node_, bytes, fa);
+        },
+        &retry_stats_, &failed_at);
+    if (!r.ok()) {
+      last_failed_at_ = failed_at;
+      return r.error();
     }
-    // Proxy lives on the site network: node-to-node speed, not WAN.
-    auto tx = site_transfer(bres.value().done, bres.value().blob.size());
-    if (!tx.ok()) {
-      fetch_error = tx.error();
-      break;
-    }
-    t = tx.value();
-    layer_done[i] = t;
-    layer_span.end(t);
-    pull_span.stamp(t);
-    out.bytes_transferred += bres.value().blob.size();
-    obs::count("registry.layers_fetched");
-    fetched[i] = std::move(bres.value().blob);
-  }
-
-  HPCC_TRY_UNIT(
-      finish_layers(out.manifest, fetched, reached, layer_done, local, out));
-  if (fetch_error) return *fetch_error;
-  out.done = t;
-  if (obs::metrics_enabled())
-    obs::metrics().counter("registry.pull_bytes").add(out.bytes_transferred);
-  pull_span.end(t);
-  return out;
+    at = r.value();
+    return std::move(res.blob);
+  };
+  // The config always crosses the site network; only layers go through
+  // the node's store.
+  return pull_blobs(std::move(mres.manifest), mres.done, pull_span, local,
+                    nullptr, fetch);
 }
 
 void RegistryClient::set_breaker_config(const fault::BreakerConfig& cfg) {
@@ -394,37 +332,26 @@ Result<PullResult> RegistryClient::pull_with_fallback(
   // advanced to the sim time the attempt was abandoned. An open breaker
   // skips its leg without charging any simulated time — avoiding a
   // known-dead endpoint is free.
-  const auto primary_leg = [&]() -> std::optional<Result<PullResult>> {
-    // The primary site proxy, hedged against the secondary.
-    if (!breaker_primary_.allow(t)) {
+  //
+  // A proxy leg is the primary proxy, hedged against the secondary, or
+  // the secondary alone. Only "unavailable" means the endpoint is down;
+  // other errors (not-found, integrity) surface to the caller unchanged.
+  const auto proxy_leg =
+      [&](bool primary) -> std::optional<Result<PullResult>> {
+    fault::CircuitBreaker& breaker =
+        primary ? breaker_primary_ : breaker_secondary_;
+    if (!breaker.allow(t)) {
       ++breaker_skips_;
       return std::nullopt;
     }
-    auto via = hedged_proxy_pull(t, proxy, secondary, ref, local);
+    auto via = primary ? hedged_proxy_pull(t, proxy, secondary, ref, local)
+                       : pull_via_proxy(t, *secondary, ref, local);
     if (via.ok()) {
-      breaker_primary_.on_success(via.value().done, via.value().done - t);
-      return via;
-    }
-    // Only "unavailable" means the endpoint is down; other errors
-    // (not-found, integrity) surface to the caller unchanged.
-    if (via.error().code() != ErrorCode::kUnavailable) return via;
-    breaker_primary_.on_failure(last_failed_at_);
-    t = std::max(t, last_failed_at_);
-    return std::nullopt;
-  };
-
-  const auto secondary_leg = [&]() -> std::optional<Result<PullResult>> {
-    if (!breaker_secondary_.allow(t)) {
-      ++breaker_skips_;
-      return std::nullopt;
-    }
-    auto via = pull_via_proxy(t, *secondary, ref, local);
-    if (via.ok()) {
-      breaker_secondary_.on_success(via.value().done, via.value().done - t);
+      breaker.on_success(via.value().done, via.value().done - t);
       return via;
     }
     if (via.error().code() != ErrorCode::kUnavailable) return via;
-    breaker_secondary_.on_failure(last_failed_at_);
+    breaker.on_failure(last_failed_at_);
     t = std::max(t, last_failed_at_);
     return std::nullopt;
   };
@@ -461,18 +388,18 @@ Result<PullResult> RegistryClient::pull_with_fallback(
     // ahead of the breaker tripping (DESIGN.md §15).
     obs::count("registry.origin_first_pulls");
     if (auto r = origin_leg(/*last=*/false)) return *r;
-    if (auto r = primary_leg()) return *r;
+    if (auto r = proxy_leg(/*primary=*/true)) return *r;
     if (secondary != nullptr)
-      if (auto r = secondary_leg()) return *r;
+      if (auto r = proxy_leg(/*primary=*/false)) return *r;
     return err_unavailable("all pull legs failed or were rejected");
   }
 
   // Classic order: primary proxy → secondary proxy → degrade gracefully
   // with a direct pull from the origin registry, picking up at the sim
   // time the proxy legs were abandoned.
-  if (auto r = primary_leg()) return *r;
+  if (auto r = proxy_leg(/*primary=*/true)) return *r;
   if (secondary != nullptr)
-    if (auto r = secondary_leg()) return *r;
+    if (auto r = proxy_leg(/*primary=*/false)) return *r;
   ++proxy_fallbacks_;
   obs::count("registry.proxy_fallbacks");
   return *origin_leg(/*last=*/true);
@@ -496,16 +423,9 @@ Result<PushResult> RegistryClient::push(SimTime now, OciRegistry& reg,
   SimTime t = now;
   image::OciManifest manifest;
 
-  // Push-side uplink as a single-tier chain: every outbound byte is a
-  // stream write against the WAN origin.
-  storage::CacheHierarchy uplink;
-  uplink.add_tier(storage::origin_tier(
-      "wan-uplink", [&](SimTime t0, std::uint64_t bytes) {
-        return network_->wan_transfer(t0, node_, bytes);
-      }));
-
+  // Every outbound byte crosses the node's WAN uplink.
   Bytes config_blob = config.serialize();
-  t = uplink.stream_write(t, config_blob.size());
+  t = network_->wan_transfer(t, node_, config_blob.size());
   out.bytes_transferred += config_blob.size();
   HPCC_TRY(manifest.config_digest,
            reg.push_blob(user, project, std::move(config_blob)));
@@ -532,7 +452,7 @@ Result<PushResult> RegistryClient::push(SimTime now, OciRegistry& reg,
                                   "push-layer:" + std::to_string(i), t);
     // Existing blobs are not re-transferred (cross-user dedup on push).
     if (!reg.has_blob(p.digest)) {
-      t = uplink.stream_write(t, size);
+      t = network_->wan_transfer(t, node_, size);
       out.bytes_transferred += size;
     }
     layer_span.end(t);

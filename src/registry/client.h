@@ -15,6 +15,7 @@
 // with and without a pool (the determinism contract, DESIGN.md §7).
 #pragma once
 
+#include <functional>
 #include <optional>
 
 #include "fault/fault.h"
@@ -30,6 +31,10 @@
 #include "util/result.h"
 #include "util/thread_pool.h"
 #include "vfs/layer.h"
+
+namespace hpcc::obs {
+class SpanScope;
+}
 
 namespace hpcc::registry {
 
@@ -57,14 +62,11 @@ class RegistryClient {
                  util::ThreadPool* pool = nullptr)
       : network_(network), node_(node), pool_(pool) {}
 
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-
   /// Retry policy applied to every fallible timed leg of a pull (WAN
   /// transfers, registry 5xx). The default — RetryPolicy::none() — is a
   /// single attempt: byte-identical to the pre-retry client, and what
   /// audit rule ROB001 flags.
   void set_retry_policy(const fault::RetryPolicy& policy) { retry_ = policy; }
-  const fault::RetryPolicy& retry_policy() const { return retry_; }
 
   /// Injector consulted on the pull path (kRegistry: 5xx / auth expiry
   /// at the frontend; kWan via the network's try_wan_transfer). Null or
@@ -93,7 +95,6 @@ class RegistryClient {
   /// cancelled — it charges no bytes to the result and emits no chunks
   /// into the local store (DESIGN.md §14). Disabled by default.
   void set_hedge_policy(const fault::HedgePolicy& policy) { hedge_ = policy; }
-  const fault::HedgePolicy& hedge_policy() const { return hedge_; }
 
   /// Which leg pull_with_fallback tries first. kProxyFirst (default) is
   /// the classic site order: primary proxy (hedged) → secondary proxy →
@@ -156,12 +157,6 @@ class RegistryClient {
                           const std::vector<vfs::Layer>& layers);
 
  private:
-  // Shared tail of both pull paths: verify, decode and locally store the
-  // fetched layer blobs concurrently, then assemble in manifest order.
-  // `layer_done[i]` is the sim time layer i's fetch leg completed; trace
-  // events for the (untimed) verify/decode work are stamped with it, on
-  // the calling thread in manifest order, so traces stay deterministic
-  // regardless of pool scheduling.
   // The primary-proxy leg of pull_with_fallback, hedged against the
   // secondary proxy when the policy and breakers allow it.
   Result<PullResult> hedged_proxy_pull(SimTime now, PullThroughProxy& proxy,
@@ -179,6 +174,29 @@ class RegistryClient {
                                      const image::ImageReference& ref,
                                      image::BlobStore* local, bool hedge_leg);
 
+  // One leg's way of bringing a blob to the node, starting at `at`. On
+  // success `at` is when the blob arrived; on failure it is wherever the
+  // leg charged the failed attempt up to.
+  using BlobFetch =
+      std::function<Result<Bytes>(const crypto::Digest& digest, SimTime& at)>;
+
+  // What every pull does once it holds `manifest` at `t`, whichever leg
+  // serves it: the config, verified, read from and kept in
+  // `config_store` when that is non-null; then, in manifest order, each
+  // layer `local` holds is skipped and the rest come through `fetch`;
+  // then finish_layers, and `pull_span` ends at the pull's done.
+  Result<PullResult> pull_blobs(image::OciManifest manifest, SimTime t,
+                                obs::SpanScope& pull_span,
+                                image::BlobStore* local,
+                                image::BlobStore* config_store,
+                                const BlobFetch& fetch);
+
+  // Phase 2 of a pull: verify, decode and locally store the fetched
+  // layer blobs concurrently, then assemble in manifest order.
+  // `layer_done[i]` is the sim time layer i's fetch leg completed; trace
+  // events for the (untimed) verify/decode work are stamped with it, on
+  // the calling thread in manifest order, so traces stay deterministic
+  // regardless of pool scheduling.
   Result<Unit> finish_layers(const image::OciManifest& manifest,
                              std::vector<std::optional<Bytes>>& fetched,
                              std::size_t layers_reached,

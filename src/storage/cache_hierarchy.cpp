@@ -386,9 +386,8 @@ DataPath make_data_path(const DataPathConfig& config) {
   }
   if (config.local != nullptr) {
     const bool below = config.shared != nullptr || config.origin != nullptr;
-    if (below || config.local_is_cache) {
-      chain->add_tier(
-          NodeLocalTier::cache(*config.local, config.local_cache_capacity));
+    if (below) {
+      chain->add_tier(NodeLocalTier::cache(*config.local));
     } else {
       chain->add_tier(NodeLocalTier::resident(*config.local));
     }
@@ -399,8 +398,6 @@ DataPath make_data_path(const DataPathConfig& config) {
     chain->add_tier(origin_tier(config.origin_name, config.origin));
   }
   chain->set_prefetch_pool(config.prefetch_pool);
-  chain->set_fault_injector(config.fault_injector);
-  chain->set_quarantine_threshold(config.quarantine_threshold);
   return DataPath(std::move(chain), config.key_prefix);
 }
 

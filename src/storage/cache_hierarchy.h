@@ -189,18 +189,15 @@ class DataPath {
 /// stacked in the fixed order page cache → node-local → (shared FS |
 /// origin); whichever terminal is present closes the chain. A non-null
 /// `local` becomes a resident terminal when nothing sits below it, and
-/// an on-device chunk cache when shared/origin does.
+/// an on-device chunk cache, sized to the device's free space, when
+/// shared/origin does.
 struct DataPathConfig {
   sim::PageCache* page_cache = nullptr;
   sim::NodeLocalStorage* local = nullptr;
-  bool local_is_cache = false;  ///< force cache mode even as terminal
-  std::uint64_t local_cache_capacity = 0;  ///< 0 = device free space
   sim::SharedFilesystem* shared = nullptr;
   std::function<SimTime(SimTime, std::uint64_t)> origin;
   std::string origin_name = "origin";
   util::ThreadPool* prefetch_pool = nullptr;
-  fault::FaultInjector* fault_injector = nullptr;
-  std::uint32_t quarantine_threshold = 0;
   std::string key_prefix;
 };
 

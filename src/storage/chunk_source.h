@@ -11,7 +11,7 @@
 // pulling (§7) are all placements of the same content at different tiers
 // of one hierarchy — page cache → node-local NVMe → shared FS → site
 // proxy → WAN origin. Modelling them as one chain gives every consumer
-// (mount models, the registry client, the lazy mount, the proxy) the
+// (mount models, engine artifact paths, the lazy mount, the proxy) the
 // same lookup/promotion/eviction semantics and uniform counters, and
 // gives the audit rules a topology they can reason about.
 //

@@ -111,9 +111,9 @@ class SharedFsTier : public ChunkSource {
 };
 
 /// Terminal fetch tier wrapping an arbitrary transfer cost function —
-/// a registry over the WAN, a site proxy, a per-pull uplink. The
-/// callback charges the full fetch path for `bytes` arriving at `now`
-/// and returns the completion time.
+/// a registry over the WAN, a proxy's upstream. The callback charges
+/// the full fetch path for `bytes` arriving at `now` and returns the
+/// completion time.
 class OriginTier : public ChunkSource {
  public:
   using OriginFn = std::function<SimTime(SimTime, std::uint64_t)>;
@@ -139,9 +139,9 @@ class OriginTier : public ChunkSource {
 };
 
 /// Cache tier whose membership and latency are owned by an existing
-/// keyed store (image::BlobStore, the proxy's manifest map). The store
-/// keeps its own admission policy; the hierarchy only asks "do you
-/// hold this?" and charges `serve_latency` per hit.
+/// keyed store (the proxy's blob and manifest caches). The store keeps
+/// its own admission policy; the hierarchy only asks "do you hold
+/// this?" and charges `serve_latency` per hit.
 class KeyedStoreTier : public ChunkSource {
  public:
   using HoldsFn = std::function<bool(const std::string&)>;
@@ -162,7 +162,7 @@ class KeyedStoreTier : public ChunkSource {
     return now + serve_latency_;
   }
   // admit() stays the no-op default: the backing store decides what it
-  // keeps (BlobStore admits via put_with_digest on the pull path).
+  // keeps (the proxy caches what it fetched upstream).
 
  private:
   std::string name_;

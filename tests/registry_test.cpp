@@ -238,8 +238,30 @@ TEST_F(ClientFixture, LocalCacheSkipsLayers) {
   const auto second = client.pull(first.value().done, reg, ref, &local);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value().layers_skipped, total_layers);
-  EXPECT_LT(second.value().bytes_transferred,
-            first.value().bytes_transferred / 2);
+  // The origin leg keeps the config in the store too: a repeat moves
+  // nothing.
+  EXPECT_EQ(second.value().bytes_transferred, 0u);
+
+  // The proxy leg skips held layers but always moves the config, and
+  // neither reads it from the store nor stores it.
+  const crypto::Digest& config = first.value().manifest.config_digest;
+  const std::uint64_t config_bytes = reg.get_blob(config).value().size();
+  PullThroughProxy proxy("proxy.site", &reg);
+  image::BlobStore via_proxy;
+  const auto p1 =
+      client.pull_via_proxy(second.value().done, proxy, ref, &via_proxy);
+  ASSERT_TRUE(p1.ok());
+  EXPECT_EQ(p1.value().layers_skipped, 0u);
+  const auto p2 =
+      client.pull_via_proxy(p1.value().done, proxy, ref, &via_proxy);
+  ASSERT_TRUE(p2.ok());
+  EXPECT_EQ(p2.value().layers_skipped, total_layers);
+  EXPECT_EQ(p2.value().bytes_transferred, config_bytes);
+  EXPECT_FALSE(via_proxy.contains(config));
+  // Even a store that holds the config does not serve it to this leg.
+  const auto p3 = client.pull_via_proxy(p2.value().done, proxy, ref, &local);
+  ASSERT_TRUE(p3.ok());
+  EXPECT_EQ(p3.value().bytes_transferred, config_bytes);
 }
 
 TEST_F(ClientFixture, ProxyCachesAndServesFaster) {

@@ -9,6 +9,9 @@
 // the same seed reproduces the same admissions and completion times.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <queue>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -626,6 +629,161 @@ TEST(ResilFallback, FastPrimaryNeverLaunchesTheHedge) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(client.hedges_launched(), 0u);
   EXPECT_EQ(client.hedges_won(), 0u);
+}
+
+// A seeded §5.1.3 storm through both pull legs, folded into one number.
+// 64 nodes, each with its own blob store, pull two three-layer images
+// that share a base layer and one config, through two proxies with the
+// resilient settings, while a WAN brownout, a fabric flap and a WAN
+// partition run.
+// The constant pins the simulated outcome of every pull: the per-pull
+// jitter stream, the hedge leg's contention-free transfers, the layer
+// skips and the config store on the origin leg all move it.
+TEST(ResilFallback, ChaosStormMatchesGoldenChecksum) {
+  constexpr std::uint32_t kNodes = 64;
+  constexpr std::uint32_t kImages = 8;
+  constexpr SimTime kHorizon = sec(60);
+  constexpr int kNodeAttempts = 4;
+
+  FaultPlan plan;
+  plan.seed = 0x5707ull;
+  plan.brownout(Domain::kWan, 0.25, sec(10), sec(40));
+  plan.partition(Domain::kWan, sec(45), sec(55));
+  FaultSpec flap;
+  flap.domain = Domain::kFabric;
+  flap.kind = FaultKind::kError;
+  flap.probability = 0.2;
+  flap.window_from = sec(20);
+  flap.window_until = sec(35);
+  plan.add(flap);
+  FaultInjector inj(plan);
+  sim::Network net(kNodes);
+  net.set_fault_injector(&inj);
+
+  registry::OciRegistry origin("upstream.example");
+  ASSERT_TRUE(origin.create_project("apps", "ci", 0).ok());
+  Rng rng(11);
+  auto layer_blob = [&rng](const std::string& path) {
+    vfs::MemFs fs;
+    (void)fs.mkdir("/opt", {}, true);
+    (void)fs.write_file(path, image::synthetic_file_content(rng, 16 * 1024));
+    return vfs::Layer::from_fs(fs).serialize();
+  };
+  const Bytes base = layer_blob("/opt/base");
+  std::vector<image::ImageReference> refs;
+  for (std::uint32_t i = 0; i < kImages; ++i) {
+    image::OciManifest m;
+    for (const Bytes& blob :
+         {base, layer_blob("/opt/lib"), layer_blob("/opt/app")}) {
+      m.layer_sizes.push_back(blob.size());
+      m.layer_digests.push_back(origin.push_blob("ci", "apps", blob).value());
+    }
+    m.config_digest =
+        origin.push_blob("ci", "apps", image::ImageConfig{}.serialize())
+            .value();
+    refs.push_back(image::ImageReference::parse("upstream.example/apps/img" +
+                                                std::to_string(i) + ":v1")
+                       .value());
+    ASSERT_TRUE(origin.push_manifest("ci", refs.back(), m).ok());
+  }
+  std::vector<crypto::Digest> cold;  // prefetch-class warm-ups
+  for (std::uint32_t i = 0; i < kNodes; ++i)
+    cold.push_back(
+        origin.push_blob("ci", "apps", image::synthetic_file_content(rng, 4096))
+            .value());
+
+  std::vector<std::unique_ptr<registry::PullThroughProxy>> proxies;
+  for (int i = 0; i < 2; ++i) {
+    auto proxy = std::make_unique<registry::PullThroughProxy>(
+        "proxy" + std::to_string(i) + ".site", &origin);
+    proxy->set_fault_injector(&inj);
+    proxy->set_retry_policy(RetryPolicy::standard(3));
+    proxy->set_origin_breaker(BreakerConfig::standard());
+    proxy->set_admission(AdmissionConfig::standard(5.0));
+    proxies.push_back(std::move(proxy));
+  }
+  std::vector<registry::RegistryClient> clients;
+  std::vector<image::BlobStore> stores(kNodes);
+  clients.reserve(kNodes);
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    auto& client = clients.emplace_back(&net, n);
+    auto rp = RetryPolicy::standard(4);
+    rp.total_budget = sec(8);
+    client.set_retry_policy(rp);
+    client.set_breaker_config(BreakerConfig::standard());
+    client.set_hedge_policy(HedgePolicy::at_percentile(0.95, 1.5));
+  }
+
+  // (time, node, pull, attempt): one pull at a time, in time order. A
+  // node's second pull starts two seconds after its first completes and
+  // takes the image after the one current at that time; a failed pull is
+  // re-attempted five seconds later.
+  using Job = std::tuple<SimTime, std::uint32_t, int, int>;
+  std::priority_queue<Job, std::vector<Job>, std::greater<Job>> jobs;
+  for (std::uint32_t n = 0; n < kNodes; ++n)
+    jobs.emplace(static_cast<SimTime>(n * kHorizon / kNodes +
+                                      rng.next_below(kHorizon / kNodes)),
+                 n, 0, 0);
+  std::uint64_t sum = 1469598103934665603ull;
+  auto fold = [&sum](std::uint64_t v) { sum = (sum ^ v) * 1099511628211ull; };
+  std::uint64_t skipped = 0;
+  while (!jobs.empty()) {
+    const auto [t, n, pull, attempt] = jobs.top();
+    jobs.pop();
+    auto& client = clients[n];
+    registry::PullThroughProxy& primary = *proxies[n % 2];
+    const std::uint32_t img =
+        (static_cast<std::uint32_t>(t * kImages / kHorizon) + pull) % kImages;
+    const auto r =
+        client.pull_with_fallback(t, primary, origin, refs[img], &stores[n],
+                                  proxies[(n + 1) % 2].get());
+    if (r.ok()) {
+      fold(n);
+      fold(static_cast<std::uint64_t>(r.value().done));
+      fold(r.value().bytes_transferred);
+      fold(r.value().layers_skipped);
+      skipped += r.value().layers_skipped;
+      (void)primary.fetch_blob(r.value().done, cold[n],
+                               RequestClass::kPrefetch);
+      if (pull == 0) jobs.emplace(r.value().done + sec(2), n, 1, 0);
+    } else if (attempt + 1 < kNodeAttempts) {
+      jobs.emplace(std::max(t, client.last_failed_at()) + sec(5), n, pull,
+                   attempt + 1);
+    }
+  }
+
+  std::uint64_t fallbacks = 0, launched = 0, won = 0, sheds = 0, retries = 0;
+  for (const auto& c : clients) {
+    fold(c.retry_stats().operations);
+    fold(c.retry_stats().attempts);
+    fold(c.breaker_skips());
+    fold(c.auth_refreshes());
+    fallbacks += c.proxy_fallbacks();
+    launched += c.hedges_launched();
+    won += c.hedges_won();
+    retries += c.retry_stats().attempts - c.retry_stats().operations;
+  }
+  for (const auto& p : proxies) {
+    fold(p->retry_stats().operations);
+    fold(p->retry_stats().attempts);
+    fold(p->upstream_fetches());
+    fold(p->upstream_bytes());
+    fold(p->cache_hits());
+    fold(p->origin_breaker().trips());
+    sheds += p->shed_upstream();
+    retries += p->retry_stats().attempts - p->retry_stats().operations;
+  }
+  for (std::uint64_t v : {fallbacks, launched, won, sheds, net.wan_bytes()})
+    fold(v);
+
+  // Every mechanism the constant pins must have run.
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(launched, 0u);
+  EXPECT_GT(won, 0u);
+  EXPECT_GT(sheds, 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(skipped, 0u);
+  EXPECT_EQ(sum, 14806197231433047663ull);
 }
 
 // ----------------------------------------------------------- proxy shedding

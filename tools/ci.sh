@@ -2,8 +2,9 @@
 # Local CI entry point: builds the normal and sanitizer configurations
 # and runs the full test suite under both, plus a ThreadSanitizer pass
 # over the concurrency tests, quick bench smokes and a one-second run of
-# each perfbench workload. The normal configuration treats every
-# compiler warning as an error, so the build stays warning-free.
+# each perfbench workload, untraced and traced. The normal configuration
+# treats every compiler warning as an error, so the build stays
+# warning-free.
 #
 #   tools/ci.sh              # build + ctest, ASan/UBSan, TSan, bench smoke
 #   SKIP_SAN=1 tools/ci.sh   # skip the ASan/UBSan configuration
@@ -28,9 +29,10 @@ run_config() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 }
 
-# Data-path layering (DESIGN.md §8): every byte-moving call site goes
-# through storage::CacheHierarchy — no direct use of the sim storage
-# primitives outside src/sim (the models) and src/storage (the tiers).
+# Data-path layering (DESIGN.md §8): the sim storage primitives (page
+# cache, shared FS, node-local NVMe) are reached only through the
+# storage tiers that a storage::CacheHierarchy composes — no direct use
+# outside src/sim (the models) and src/storage (the tiers).
 echo "== layering check (sim storage primitives only behind src/storage)"
 if grep -rnE '\b(PageCache|SharedFilesystem|NodeLocalStorage)\b' \
      "$repo_root/src" \
@@ -96,24 +98,29 @@ if [[ "${SKIP_BENCH:-}" != "1" ]]; then
     --json "$repo_root/build/BENCH_cache_hierarchy.json"
 fi
 
-# Benchmark smoke: one untraced second of each perfbench workload at
-# seed 1. A workload checks itself (same-seed passes identical, no
-# negative mean pod start, no failed ops); its last line must report
-# "correct": true and "failed": 0.
+# Benchmark smoke: one second of each perfbench workload at seed 1,
+# untraced and traced. A workload checks itself (same-seed passes
+# identical, no negative mean pod start, no failed ops); its last line
+# must report "correct": true and "failed": 0. The traced run also fails
+# when a per-layer metric BENCHMARK.json names goes unmeasured.
 if [[ "${SKIP_BENCH:-}" != "1" ]]; then
   for workload in pull_storm container_start site_sched; do
-    echo "== perfbench smoke ($workload, seed 1, 1 s)"
-    result="$(cd "$repo_root" && python3 perfbench/run.py \
-      --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-    python3 - "$workload" "$result" <<'EOF'
+    for trace in 0 1; do
+      echo "== perfbench smoke ($workload, seed 1, 1 s, trace $trace)"
+      result="$(cd "$repo_root" && python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 1 --trace "$trace" \
+        | tail -n 1)"
+      python3 - "$workload $trace" "$result" <<'EOF'
 import json, sys
 
-workload, result = sys.argv[1], json.loads(sys.argv[2])
+run, result = sys.argv[1], json.loads(sys.argv[2])
 if result["correct"] is not True or result["failed"] != 0:
-    sys.exit(f"perfbench {workload}: correct={result['correct']} "
+    sys.exit(f"perfbench {run}: correct={result['correct']} "
              f"failed={result['failed']} of {result['attempted']}")
-print(f"perfbench {workload}: correct, {result['attempted']} ops, 0 failed")
+print(f"perfbench {run}: correct, {result['attempted']} ops, 0 failed, "
+      f"{len(result['metrics'])} metrics")
 EOF
+    done
   done
 fi
 
