@@ -97,8 +97,8 @@ void BM_OnDemandSquash(benchmark::State& state) {
   const auto manifest = env.registry->get_manifest(env.ref).value();
   std::vector<vfs::Layer> layers;
   for (const auto& digest : manifest.layer_digests) {
-    auto blob = env.registry->get_blob(digest).value();
-    layers.push_back(vfs::Layer::deserialize(blob).value());
+    const auto blob = env.registry->get_blob(digest).value();
+    layers.push_back(vfs::Layer::deserialize(*blob).value());
   }
   for (auto _ : state) {
     auto squash = image::layers_to_squash(layers);

@@ -1,5 +1,8 @@
 #include "image/build.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "util/strings.h"
 #include "vfs/path.h"
 
@@ -257,16 +260,18 @@ Bytes synthetic_file_content(Rng& rng, std::uint64_t size) {
   static constexpr std::string_view kVocab =
       "symbol_table section .text .data relocation glibc malloc printf "
       "openmpi ucx libfabric cuda kernel module parameter dataset ";
-  Bytes out;
-  out.reserve(size);
-  while (out.size() < size) {
+  Bytes out(size);
+  std::size_t pos = 0;
+  while (pos < size) {
+    // One copy per vocabulary run, clipped to the bytes left; the draws
+    // stay in their order (the golden-digest test pins both).
     const std::size_t start = rng.next_below(kVocab.size());
-    const std::size_t len =
-        std::min<std::size_t>(kVocab.size() - start, 8 + rng.next_below(24));
-    for (std::size_t i = 0; i < len && out.size() < size; ++i)
-      out.push_back(static_cast<std::uint8_t>(kVocab[start + i]));
-    if (rng.next_bool(0.1) && out.size() < size)
-      out.push_back(static_cast<std::uint8_t>(rng.next_u64()));
+    const std::size_t len = std::min<std::size_t>(
+        {kVocab.size() - start, 8 + rng.next_below(24), size - pos});
+    std::memcpy(out.data() + pos, kVocab.data() + start, len);
+    pos += len;
+    if (rng.next_bool(0.1) && pos < size)
+      out[pos++] = static_cast<std::uint8_t>(rng.next_u64());
   }
   return out;
 }

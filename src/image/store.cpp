@@ -45,8 +45,9 @@ BlobStore& BlobStore::operator=(BlobStore&& other) noexcept {
   return *this;
 }
 
-void BlobStore::put_with_digest(Bytes blob, const crypto::Digest& digest) {
-  const std::uint64_t size = blob.size();
+void BlobStore::put_with_digest(SharedBytes blob,
+                                const crypto::Digest& digest) {
+  const std::uint64_t size = blob->size();
   logical_bytes_.fetch_add(size, std::memory_order_relaxed);
   Shard& shard = shard_for(digest);
   dcheck::AnnotatedLock lk(shard.mu, "blobstore.shard");
@@ -67,13 +68,13 @@ crypto::Digest BlobStore::put(Bytes blob) {
   // Hash outside any lock: this is the CPU-heavy part parallel callers
   // want to overlap.
   const crypto::Digest digest = crypto::Digest::of(blob);
-  put_with_digest(std::move(blob), digest);
+  put_with_digest(std::make_shared<const Bytes>(std::move(blob)), digest);
   return digest;
 }
 
-Result<crypto::Digest> BlobStore::put_verified(Bytes blob,
+Result<crypto::Digest> BlobStore::put_verified(SharedBytes blob,
                                                const crypto::Digest& expected) {
-  HPCC_TRY_UNIT(crypto::verify_digest(blob, expected));
+  HPCC_TRY_UNIT(crypto::verify_digest(*blob, expected));
   // The verified digest is the storage key; no second hash pass.
   put_with_digest(std::move(blob), expected);
   return expected;
@@ -88,7 +89,7 @@ std::vector<crypto::Digest> BlobStore::put_many(std::vector<Bytes> blobs,
   return out;
 }
 
-Result<const Bytes*> BlobStore::get(const crypto::Digest& digest) const {
+Result<SharedBytes> BlobStore::get(const crypto::Digest& digest) const {
   const Shard& shard = shard_for(digest);
   dcheck::AnnotatedLock lk(shard.mu, "blobstore.shard");
   if (dcheck::enabled())
@@ -96,7 +97,7 @@ Result<const Bytes*> BlobStore::get(const crypto::Digest& digest) const {
   auto it = shard.blobs.find(digest);
   if (it == shard.blobs.end())
     return err_not_found("no blob " + digest.to_string());
-  return &it->second;
+  return it->second;
 }
 
 bool BlobStore::contains(const crypto::Digest& digest) const {
@@ -115,7 +116,7 @@ Result<Unit> BlobStore::remove(const crypto::Digest& digest) {
   auto it = shard.blobs.find(digest);
   if (it == shard.blobs.end())
     return err_not_found("no blob " + digest.to_string());
-  stored_bytes_.fetch_sub(it->second.size(), std::memory_order_relaxed);
+  stored_bytes_.fetch_sub(it->second->size(), std::memory_order_relaxed);
   shard.blobs.erase(it);
   return ok_unit();
 }
@@ -160,7 +161,7 @@ Result<OciManifest> ImageStore::resolve(const ImageReference& ref) const {
       return err_not_found("no such image: " + ref.to_string());
     manifest_digest = it->second;
   }
-  HPCC_TRY(const Bytes* blob, blobs_.get(manifest_digest));
+  HPCC_TRY(const SharedBytes blob, blobs_.get(manifest_digest));
   return OciManifest::deserialize(*blob);
 }
 

@@ -9,10 +9,17 @@
 // families sharing base layers. ImageStore adds the tag→manifest
 // indirection engines and registries both need.
 //
+// A BlobStore holds each blob as an immutable shared buffer
+// (SharedBytes): get() hands out the stored buffer itself, and a put of
+// a buffer that came from another store keeps pointing at the same
+// bytes. So a blob pulled from a registry through a proxy into a node
+// is one buffer in all three stores, and a copied store shares every
+// buffer with its source. Counters stay per store: each store counts
+// the bytes it holds as if it owned them.
+//
 // BlobStore is concurrency-safe: the map is split across mutex-guarded
-// shards, so the parallel pull pipeline's concurrent put_verified calls
-// (one per layer, see registry/client.h) don't serialize on a single
-// lock. Digests are computed outside any lock — that is where the CPU
+// shards, so the parallel pull pipeline's concurrent puts (one per
+// layer, see registry/client.h) don't serialize on a single lock. Digests are computed outside any lock — that is where the CPU
 // time goes. Counters are exact under concurrency: stored/logical bytes
 // and dedup hits are updated under the owning shard's lock or
 // atomically, so a race of N identical puts stores the content once and
@@ -56,20 +63,21 @@ class BlobStore {
   BlobStore& operator=(const BlobStore& other);
   BlobStore& operator=(BlobStore&& other) noexcept;
 
-  /// Stores `blob`; returns its digest. Identical content is stored
-  /// once (dedup). Thread-safe.
+  /// Stores `blob`, wrapped once in a shared buffer; returns its
+  /// digest. Identical content is stored once (dedup). Thread-safe.
   crypto::Digest put(Bytes blob);
 
-  /// Verifying put: fails with kIntegrity if the content does not hash
-  /// to `expected` (every pull does this). Hashes the content exactly
+  /// Verifying put: fails with kIntegrity, storing nothing, if the
+  /// content does not hash to `expected`. Hashes the content exactly
   /// once (the verification digest doubles as the storage key).
-  Result<crypto::Digest> put_verified(Bytes blob, const crypto::Digest& expected);
+  Result<crypto::Digest> put_verified(SharedBytes blob,
+                                      const crypto::Digest& expected);
 
   /// Trusting put for content whose digest the caller has already
   /// computed (e.g. verified against a manifest moments ago). Skips
   /// re-hashing; `digest` MUST be the content's true digest or the
   /// store's addressing is corrupted.
-  void put_with_digest(Bytes blob, const crypto::Digest& digest);
+  void put_with_digest(SharedBytes blob, const crypto::Digest& digest);
 
   /// Stores many blobs, computing digests in parallel on `pool` (inline
   /// when null). Returns the digests in input order; counters are exact
@@ -77,9 +85,8 @@ class BlobStore {
   std::vector<crypto::Digest> put_many(std::vector<Bytes> blobs,
                                        util::ThreadPool* pool = nullptr);
 
-  /// The returned pointer stays valid across concurrent puts (node-based
-  /// map) but is invalidated by remove() of the same digest.
-  Result<const Bytes*> get(const crypto::Digest& digest) const;
+  /// The stored buffer itself, shared with the store.
+  Result<SharedBytes> get(const crypto::Digest& digest) const;
   bool contains(const crypto::Digest& digest) const;
   Result<Unit> remove(const crypto::Digest& digest);
 
@@ -100,7 +107,7 @@ class BlobStore {
  private:
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<crypto::Digest, Bytes> blobs;
+    std::unordered_map<crypto::Digest, SharedBytes> blobs;
   };
 
   // Shards sit behind pointers, so one const lookup serves the readers

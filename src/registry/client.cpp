@@ -11,17 +11,13 @@ namespace hpcc::registry {
 // decode, CAS insert), parallel across layers when a pool is set. Layer
 // blobs are independent, so scheduling order cannot change any output;
 // results are assembled in manifest order and the first error in that
-// order wins, matching the sequential pipeline. `fetched[i]` holds the
-// wire bytes of layer i, or nullopt for a local-cache hit; only the
-// first `layers_reached` layers were reached by the fetch phase.
-Result<Unit> RegistryClient::finish_layers(
-    const image::OciManifest& manifest,
-    std::vector<std::optional<Bytes>>& fetched, std::size_t layers_reached,
-    const std::vector<SimTime>& layer_done, image::BlobStore* local,
-    PullResult& out) {
+// order wins, matching the sequential pipeline.
+Result<PullResult> RegistryClient::finish_layers(Fetched& leg,
+                                                 image::BlobStore* local) {
+  const image::OciManifest& manifest = leg.out.manifest;
   std::vector<Result<vfs::Layer>> decoded(
-      layers_reached, Result<vfs::Layer>(err_internal("layer not processed")));
-  util::parallel_for(pool_, layers_reached, [&](std::size_t i) {
+      leg.reached, Result<vfs::Layer>(err_internal("layer not processed")));
+  util::parallel_for(pool_, leg.reached, [&](std::size_t i) {
     const crypto::Digest& digest = manifest.layer_digests[i];
     // dcheck: each slot is written by exactly one task; parallel_for's
     // spawn/join edges are what order these writes before the caller's
@@ -30,9 +26,9 @@ Result<Unit> RegistryClient::finish_layers(
       dcheck::access_write(&decoded[i], "pull.layer.decoded");
       dcheck::event("pull.layer:" + digest.to_string());
     }
-    if (!fetched[i].has_value()) {
-      // Cache hit. The pointer returned by get() stays valid while
-      // sibling tasks insert into other shards/nodes of the store.
+    const SharedBytes& blob = leg.blobs[i];
+    if (blob == nullptr) {
+      // Cache hit: decode the store's own buffer.
       auto cached = local->get(digest);
       if (!cached.ok()) {
         decoded[i] = cached.error();
@@ -41,26 +37,24 @@ Result<Unit> RegistryClient::finish_layers(
       decoded[i] = vfs::Layer::deserialize(*cached.value());
       return;
     }
-    Bytes blob = std::move(*fetched[i]);
-    auto verified = crypto::verify_digest(blob, digest);
+    auto verified = crypto::verify_digest(*blob, digest);
     if (!verified.ok()) {
       decoded[i] = verified.error();
       return;
     }
-    decoded[i] = vfs::Layer::deserialize(blob);
+    decoded[i] = vfs::Layer::deserialize(*blob);
     // The digest was verified above, so the CAS can index without
-    // re-hashing.
-    if (decoded[i].ok() && local != nullptr)
-      local->put_with_digest(std::move(blob), digest);
+    // re-hashing; it shares the fetched buffer.
+    if (decoded[i].ok() && leg.keep[i]) local->put_with_digest(blob, digest);
   });
   // Trace/metric emission happens here — after the parallel_for, on the
   // caller's thread, in manifest order — never from pool workers, so the
   // event stream is identical with and without a pool.
   if (obs::tracing_enabled()) {
-    for (std::size_t i = 0; i < layers_reached; ++i) {
-      const SimTime at = i < layer_done.size() ? layer_done[i] : 0;
+    for (std::size_t i = 0; i < leg.reached; ++i) {
+      const SimTime at = leg.layer_done[i];
       const std::string idx = std::to_string(i);
-      if (fetched[i].has_value()) {
+      if (leg.blobs[i] != nullptr) {
         obs::tracer().instant(obs::Category::kRegistry, "verify:" + idx, at);
         obs::tracer().instant(obs::Category::kRegistry, "decode:" + idx, at);
       } else {
@@ -69,22 +63,22 @@ Result<Unit> RegistryClient::finish_layers(
       }
     }
   }
-  for (std::size_t i = 0; i < layers_reached; ++i) {
+  for (std::size_t i = 0; i < leg.reached; ++i) {
     if (dcheck::enabled())
       dcheck::access_read(&decoded[i], "pull.layer.decoded");
     if (!decoded[i].ok()) return decoded[i].error();
-    out.layers.push_back(std::move(decoded[i]).value());
+    leg.out.layers.push_back(std::move(decoded[i]).value());
   }
-  return ok_unit();
+  if (leg.error) return *leg.error;
+  return std::move(leg.out);
 }
 
-Result<PullResult> RegistryClient::pull_blobs(image::OciManifest manifest,
-                                              SimTime t,
-                                              obs::SpanScope& pull_span,
-                                              image::BlobStore* local,
-                                              image::BlobStore* config_store,
-                                              const BlobFetch& fetch) {
-  PullResult out;
+Result<RegistryClient::Fetched> RegistryClient::fetch_blobs(
+    image::OciManifest manifest, SimTime t, obs::SpanScope& pull_span,
+    image::BlobStore* local, image::BlobStore* config_store,
+    const BlobFetch& fetch) {
+  Fetched leg;
+  PullResult& out = leg.out;
   out.manifest = std::move(manifest);
   const crypto::Digest& config_digest = out.manifest.config_digest;
   obs::SpanScope config_span;
@@ -92,67 +86,65 @@ Result<PullResult> RegistryClient::pull_blobs(image::OciManifest manifest,
     config_span = obs::SpanScope(obs::Category::kRegistry, "config", t);
   if (config_store != nullptr && config_store->contains(config_digest)) {
     // Held: deserialize from the CAS, no transfer charged.
-    HPCC_TRY(const Bytes* cached, config_store->get(config_digest));
+    HPCC_TRY(const SharedBytes cached, config_store->get(config_digest));
     HPCC_TRY(out.config, image::ImageConfig::deserialize(*cached));
   } else {
     auto fetched_config = fetch(config_digest, t);
     config_span.stamp(t);
-    HPCC_TRY(Bytes config_blob, std::move(fetched_config));
-    HPCC_TRY_UNIT(crypto::verify_digest(config_blob, config_digest));
-    out.bytes_transferred += config_blob.size();
-    HPCC_TRY(out.config, image::ImageConfig::deserialize(config_blob));
+    HPCC_TRY(SharedBytes config_blob, std::move(fetched_config));
+    HPCC_TRY_UNIT(crypto::verify_digest(*config_blob, config_digest));
+    out.bytes_transferred += config_blob->size();
+    HPCC_TRY(out.config, image::ImageConfig::deserialize(*config_blob));
     if (config_store != nullptr)
       config_store->put_with_digest(std::move(config_blob), config_digest);
   }
   config_span.end(t);
   pull_span.stamp(t);
 
-  // Phase 1 (strictly sequential, manifest order): layer skips, blob
-  // fetches and every timed interaction of the leg. This is what keeps
-  // `done`/`bytes_transferred` and the source's queueing state identical
+  // Strictly sequential, manifest order: layer skips, blob fetches and
+  // every timed interaction of the leg. This is what keeps `done`/
+  // `bytes_transferred` and the source's queueing state identical
   // whether or not phase 2 runs on a pool.
   const std::size_t n = out.manifest.layer_digests.size();
-  std::vector<std::optional<Bytes>> fetched(n);
-  std::vector<SimTime> layer_done(n, t);
-  std::optional<Error> fetch_error;
-  std::size_t reached = 0;
-  for (std::size_t i = 0; i < n; ++i, ++reached) {
+  leg.blobs.resize(n);
+  leg.keep.resize(n);
+  leg.layer_done.assign(n, t);
+  for (std::size_t i = 0; i < n; ++i) {
     const auto& digest = out.manifest.layer_digests[i];
     obs::SpanScope layer_span;
     if (obs::tracing_enabled())
       layer_span = obs::SpanScope(obs::Category::kRegistry,
                                   "layer:" + std::to_string(i), t);
     if (local && local->contains(digest)) {
-      // Held: fetched[i] stays empty so phase 2 decodes from the store.
+      // Held: blobs[i] stays null so phase 2 decodes from the store.
       ++out.layers_skipped;
       obs::count("registry.layers_skipped");
-      layer_done[i] = t;
+      leg.layer_done[i] = t;
       layer_span.end(t);
       continue;
     }
     auto blob = fetch(digest, t);
-    layer_done[i] = t;
+    leg.layer_done[i] = t;
     layer_span.end(t);
     pull_span.stamp(t);
     if (!blob.ok()) {
-      // This layer is not part of the pull (reached == i), but the time
-      // the leg spent failing stays charged.
-      fetch_error = blob.error();
-      break;
+      // This layer is not part of the pull, but the time the leg spent
+      // failing stays charged.
+      leg.reached = i;
+      leg.error = blob.error();
+      return leg;
     }
-    out.bytes_transferred += blob.value().size();
+    out.bytes_transferred += blob.value()->size();
     obs::count("registry.layers_fetched");
-    fetched[i] = std::move(blob).value();
+    leg.blobs[i] = std::move(blob).value();
+    leg.keep[i] = local != nullptr;
   }
-
-  HPCC_TRY_UNIT(
-      finish_layers(out.manifest, fetched, reached, layer_done, local, out));
-  if (fetch_error) return *fetch_error;
+  leg.reached = n;
   out.done = t;
   if (obs::metrics_enabled())
     obs::metrics().counter("registry.pull_bytes").add(out.bytes_transferred);
   pull_span.end(t);
-  return out;
+  return leg;
 }
 
 Result<PullResult> RegistryClient::pull(SimTime now, OciRegistry& reg,
@@ -186,9 +178,9 @@ Result<PullResult> RegistryClient::pull(SimTime now, OciRegistry& reg,
   // failure: the failed attempts' sim time stays charged.
   Rng jitter(retry_.jitter_seed);
   const auto fetch = [&](const crypto::Digest& digest,
-                         SimTime& at) -> Result<Bytes> {
-    HPCC_TRY(Bytes blob, reg.get_blob(digest));
-    const std::uint64_t bytes = blob.size();
+                         SimTime& at) -> Result<SharedBytes> {
+    HPCC_TRY(SharedBytes blob, reg.get_blob(digest));
+    const std::uint64_t bytes = blob->size();
     SimTime failed_at = at;
     auto r = fault::retry_timed(
         at, retry_, jitter,
@@ -224,16 +216,20 @@ Result<PullResult> RegistryClient::pull(SimTime now, OciRegistry& reg,
     at = r.value();
     return blob;
   };
-  return pull_blobs(std::move(manifest), t, pull_span, local, local, fetch);
+  HPCC_TRY(Fetched leg, fetch_blobs(std::move(manifest), t, pull_span, local,
+                                    local, fetch));
+  return finish_layers(leg, local);
 }
 
 Result<PullResult> RegistryClient::pull_via_proxy(
     SimTime now, PullThroughProxy& proxy, const image::ImageReference& ref,
     image::BlobStore* local) {
-  return proxy_pull_impl(now, proxy, ref, local, /*hedge_leg=*/false);
+  HPCC_TRY(Fetched leg, proxy_fetch(now, proxy, ref, local,
+                                    /*hedge_leg=*/false));
+  return finish_layers(leg, local);
 }
 
-Result<PullResult> RegistryClient::proxy_pull_impl(
+Result<RegistryClient::Fetched> RegistryClient::proxy_fetch(
     SimTime now, PullThroughProxy& proxy, const image::ImageReference& ref,
     image::BlobStore* local, bool hedge_leg) {
   obs::count("registry.proxy_pulls");
@@ -253,9 +249,9 @@ Result<PullResult> RegistryClient::proxy_pull_impl(
   // not occupy NIC queues or consume kFabric draws (client.h).
   Rng jitter(retry_.jitter_seed);
   const auto fetch = [&](const crypto::Digest& digest,
-                         SimTime& at) -> Result<Bytes> {
+                         SimTime& at) -> Result<SharedBytes> {
     HPCC_TRY(auto res, proxy.fetch_blob(at, digest));
-    const std::uint64_t bytes = res.blob.size();
+    const std::uint64_t bytes = res.blob->size();
     if (hedge_leg) {
       at = network_->transfer_estimate(res.done, 0, node_, bytes);
       return std::move(res.blob);
@@ -276,8 +272,8 @@ Result<PullResult> RegistryClient::proxy_pull_impl(
   };
   // The config always crosses the site network; only layers go through
   // the node's store.
-  return pull_blobs(std::move(mres.manifest), mres.done, pull_span, local,
-                    nullptr, fetch);
+  return fetch_blobs(std::move(mres.manifest), mres.done, pull_span, local,
+                     nullptr, fetch);
 }
 
 void RegistryClient::set_breaker_config(const fault::BreakerConfig& cfg) {
@@ -286,38 +282,54 @@ void RegistryClient::set_breaker_config(const fault::BreakerConfig& cfg) {
   breaker_origin_ = fault::CircuitBreaker("origin", cfg);
 }
 
-// The hedge is simulated retroactively: the primary leg runs to
+// The hedge is simulated retroactively: the primary leg fetches to
 // completion first, and if its duration overran the budget the second
 // leg is launched at now + budget — exactly when a live client's hedge
-// timer would have fired. First completion wins. The loser is cancelled:
-// its bytes are never charged to the returned result, and the hedge leg
-// pulls with a null local store so it emits no chunks into the node CAS
-// (the primary leg already populated it; a cancelled leg must not
-// double-admit). DESIGN.md §14 has the determinism argument.
+// timer would have fired. The hedge leg fetches with a null local store,
+// so it skips nothing and stores nothing. First completion wins, and
+// only the winner is finished: the loser's fetched layers are never
+// verified, decoded or stored, and its bytes are never charged to the
+// returned result. Should the winner fail phase 2, the other leg is
+// finished instead, so a leg whose pull fails never wins. Whichever leg
+// is finished stores exactly the layers the primary fetched, which
+// leaves the node's store as an unhedged pull would. DESIGN.md §14 has
+// the determinism argument.
 Result<PullResult> RegistryClient::hedged_proxy_pull(
     SimTime now, PullThroughProxy& proxy, PullThroughProxy* secondary,
     const image::ImageReference& ref, image::BlobStore* local) {
-  auto first = pull_via_proxy(now, proxy, ref, local);
+  HPCC_TRY(Fetched first,
+           proxy_fetch(now, proxy, ref, local, /*hedge_leg=*/false));
   const bool can_hedge =
       hedge_.enabled() && secondary != nullptr &&
       (!breaker_secondary_.enabled() ||
        breaker_secondary_.state(now) == fault::BreakerState::kClosed);
   // A hard primary failure is the failover path's job, not the hedge's.
-  if (!can_hedge || !first.ok()) return first;
+  if (!can_hedge || first.error) return finish_layers(first, local);
   const SimDuration budget = hedge_.launch_after(breaker_primary_.health());
-  if (first.value().done - now <= budget) return first;
+  if (first.out.done - now <= budget) return finish_layers(first, local);
   ++hedges_launched_;
   obs::count("fault.hedge.launched");
-  auto second =
-      proxy_pull_impl(now + budget, *secondary, ref, nullptr, /*hedge_leg=*/true);
-  if (second.ok() && second.value().done < first.value().done) {
+  auto fetched =
+      proxy_fetch(now + budget, *secondary, ref, nullptr, /*hedge_leg=*/true);
+  if (!fetched.ok() || fetched.value().error)
+    return finish_layers(first, local);
+  Fetched& second = fetched.value();
+  second.keep = first.keep;
+  const auto hedge_won = [&](Result<PullResult> won) {
     ++hedges_won_;
     obs::count("fault.hedge.won");
-    breaker_secondary_.on_success(second.value().done,
-                                  second.value().done - (now + budget));
-    return second;
+    breaker_secondary_.on_success(won.value().done,
+                                  won.value().done - (now + budget));
+    return won;
+  };
+  if (second.out.done < first.out.done) {
+    auto won = finish_layers(second, local);
+    return won.ok() ? hedge_won(std::move(won)) : finish_layers(first, local);
   }
-  return first;
+  auto primary = finish_layers(first, local);
+  if (primary.ok()) return primary;
+  auto won = finish_layers(second, local);
+  return won.ok() ? hedge_won(std::move(won)) : primary;
 }
 
 Result<PullResult> RegistryClient::pull_with_fallback(

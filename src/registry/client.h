@@ -6,13 +6,20 @@
 // buys, §3.1); layers already present in the local store are skipped —
 // the incremental-pull behaviour layered images exist for (§4.1.4).
 //
-// When constructed with a ThreadPool, the CPU side of a pull — SHA-256
-// verification, layer-archive decode, CAS insertion — runs concurrently
-// across layers (they are independent by construction), and a push
-// serializes+digests its layers in parallel. The *timed* side (request
-// service, egress, WAN transfer) stays strictly sequential and in
-// manifest order, so simulated costs and all outputs are byte-identical
-// with and without a pool (the determinism contract, DESIGN.md §7).
+// Every pull leg runs in two phases. Phase 1 fetches: the config, the
+// layer skips, every timed interaction and the layer blobs, strictly
+// sequential and in manifest order. Phase 2 finishes: it verifies,
+// decodes and stores the fetched layers. A hedged pull fetches on both
+// legs but finishes only the one it returns. Blobs reach the node as
+// the registry's and proxy's own shared buffers (SharedBytes), so no
+// hop copies a layer.
+//
+// When constructed with a ThreadPool, phase 2 — SHA-256 verification,
+// layer-archive decode, CAS insertion — runs concurrently across layers
+// (they are independent by construction), and a push serializes+digests
+// its layers in parallel. Phase 1 stays sequential, so simulated costs
+// and all outputs are byte-identical with and without a pool (the
+// determinism contract, DESIGN.md §7).
 #pragma once
 
 #include <functional>
@@ -92,8 +99,10 @@ class RegistryClient {
   /// Hedged pulls on the proxy leg: when the primary proxy pull runs
   /// past the policy's latency budget, a second leg is launched against
   /// the secondary proxy and the first completion wins; the loser is
-  /// cancelled — it charges no bytes to the result and emits no chunks
-  /// into the local store (DESIGN.md §14). Disabled by default.
+  /// cancelled — it charges no bytes to the result, and its fetched
+  /// layers are never verified, decoded or stored. The local store ends
+  /// up as an unhedged pull leaves it (DESIGN.md §14). Disabled by
+  /// default.
   void set_hedge_policy(const fault::HedgePolicy& policy) { hedge_ = policy; }
 
   /// Which leg pull_with_fallback tries first. kProxyFirst (default) is
@@ -157,6 +166,20 @@ class RegistryClient {
                           const std::vector<vfs::Layer>& layers);
 
  private:
+  // What phase 1 of a leg hands phase 2: `out` has everything but the
+  // layers. `blobs[i]` is layer i as fetched, or null when the local
+  // store holds it; `keep[i]` says whether phase 2 stores layer i
+  // locally. Only the first `reached` layers were reached; `error` is
+  // the fetch error phase 1 stopped at, if any.
+  struct Fetched {
+    PullResult out;
+    std::vector<SharedBytes> blobs;
+    std::vector<bool> keep;
+    std::vector<SimTime> layer_done;
+    std::size_t reached = 0;
+    std::optional<Error> error;
+  };
+
   // The primary-proxy leg of pull_with_fallback, hedged against the
   // secondary proxy when the policy and breakers allow it.
   Result<PullResult> hedged_proxy_pull(SimTime now, PullThroughProxy& proxy,
@@ -164,44 +187,42 @@ class RegistryClient {
                                        const image::ImageReference& ref,
                                        image::BlobStore* local);
 
-  // Shared body of pull_via_proxy and the hedge's second leg. A hedge
+  // Phase 1 of pull_via_proxy and of the hedge's second leg. A hedge
   // leg races a cancellable concurrent primary, so its site transfers
   // use the network's contention-free estimate (no NIC queue occupancy,
   // no kFabric draws, no retry-stats inflation) — neither racer may
   // retroactively delay the other, and launching a hedge must not shift
   // any fault stream another leg consumes.
-  Result<PullResult> proxy_pull_impl(SimTime now, PullThroughProxy& proxy,
-                                     const image::ImageReference& ref,
-                                     image::BlobStore* local, bool hedge_leg);
+  Result<Fetched> proxy_fetch(SimTime now, PullThroughProxy& proxy,
+                              const image::ImageReference& ref,
+                              image::BlobStore* local, bool hedge_leg);
 
   // One leg's way of bringing a blob to the node, starting at `at`. On
   // success `at` is when the blob arrived; on failure it is wherever the
   // leg charged the failed attempt up to.
-  using BlobFetch =
-      std::function<Result<Bytes>(const crypto::Digest& digest, SimTime& at)>;
+  using BlobFetch = std::function<Result<SharedBytes>(
+      const crypto::Digest& digest, SimTime& at)>;
 
-  // What every pull does once it holds `manifest` at `t`, whichever leg
+  // Phase 1 of every pull once it holds `manifest` at `t`, whichever leg
   // serves it: the config, verified, read from and kept in
   // `config_store` when that is non-null; then, in manifest order, each
-  // layer `local` holds is skipped and the rest come through `fetch`;
-  // then finish_layers, and `pull_span` ends at the pull's done.
-  Result<PullResult> pull_blobs(image::OciManifest manifest, SimTime t,
-                                obs::SpanScope& pull_span,
-                                image::BlobStore* local,
-                                image::BlobStore* config_store,
-                                const BlobFetch& fetch);
+  // layer `local` holds is skipped and the rest come through `fetch`.
+  // On a full fetch `pull_span` ends at the leg's done.
+  Result<Fetched> fetch_blobs(image::OciManifest manifest, SimTime t,
+                              obs::SpanScope& pull_span,
+                              image::BlobStore* local,
+                              image::BlobStore* config_store,
+                              const BlobFetch& fetch);
 
-  // Phase 2 of a pull: verify, decode and locally store the fetched
-  // layer blobs concurrently, then assemble in manifest order.
-  // `layer_done[i]` is the sim time layer i's fetch leg completed; trace
-  // events for the (untimed) verify/decode work are stamped with it, on
-  // the calling thread in manifest order, so traces stay deterministic
-  // regardless of pool scheduling.
-  Result<Unit> finish_layers(const image::OciManifest& manifest,
-                             std::vector<std::optional<Bytes>>& fetched,
-                             std::size_t layers_reached,
-                             const std::vector<SimTime>& layer_done,
-                             image::BlobStore* local, PullResult& out);
+  // Phase 2 of a pull: verify, decode and store in `local` the fetched
+  // layer blobs concurrently, then assemble in manifest order; layers
+  // phase 1 skipped are decoded from `local`. The first error in
+  // manifest order wins, and a fetch error comes after every layer
+  // phase 1 reached. `layer_done[i]` is the sim time layer i's fetch
+  // leg completed; trace events for the (untimed) verify/decode work are
+  // stamped with it, on the calling thread in manifest order, so traces
+  // stay deterministic regardless of pool scheduling.
+  Result<PullResult> finish_layers(Fetched& leg, image::BlobStore* local);
 
   sim::Network* network_;
   sim::NodeId node_;

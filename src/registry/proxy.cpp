@@ -115,7 +115,7 @@ Result<PullThroughProxy::ManifestResult> PullThroughProxy::fetch_manifest(
 
   auto it = manifest_cache_.find(ref.to_string());
   if (it != manifest_cache_.end()) {
-    HPCC_TRY(const Bytes* blob, cache_.get(it->second));
+    HPCC_TRY(const SharedBytes blob, cache_.get(it->second));
     HPCC_TRY(out.manifest, image::OciManifest::deserialize(*blob));
     out.cache_hit = true;
     out.done =
@@ -146,25 +146,27 @@ Result<PullThroughProxy::BlobResult> PullThroughProxy::fetch_blob(
   BlobResult out;
   SimTime t = frontend_.submit(now, config_.limits.request_service);
 
-  if (const auto cached = cache_.get(digest); cached.ok()) {
-    out.blob = *cached.value();
+  if (auto cached = cache_.get(digest); cached.ok()) {
+    out.blob = std::move(cached).value();
     out.cache_hit = true;
-    t = path_.read(t, {"blob:" + digest.hex(), out.blob.size()}).done;
+    t = path_.read(t, {"blob:" + digest.hex(), out.blob->size()}).done;
   } else {
     HPCC_TRY_UNIT(admit_upstream(t, cls));
     HPCC_TRY(out.blob, upstream_->get_blob(digest));
     upstream_error_.reset();
-    t = path_.read(t, {"blob:" + digest.hex(), out.blob.size()}).done;
+    t = path_.read(t, {"blob:" + digest.hex(), out.blob->size()}).done;
     if (upstream_error_) {
       return *std::exchange(upstream_error_, std::nullopt);
     }
-    (void)cache_.put(out.blob);
+    // Only bytes that match the digest asked for are cached; the check
+    // is the one hash the proxy pays per admitted blob.
+    HPCC_TRY_UNIT(cache_.put_verified(out.blob, digest));
   }
   // Serve through the proxy's own egress (site-local, fast).
   t = egress_.submit(t, static_cast<SimDuration>(
-                            static_cast<double>(out.blob.size()) /
+                            static_cast<double>(out.blob->size()) /
                             config_.limits.egress_bandwidth));
-  bytes_served_ += out.blob.size();
+  bytes_served_ += out.blob->size();
   out.done = t;
   return out;
 }
@@ -187,10 +189,10 @@ Result<MirrorStats> mirror_repository(const OciRegistry& source,
         ++stats.blobs_skipped;
         return ok_unit();
       }
-      HPCC_TRY(Bytes blob, source.get_blob(digest));
-      stats.bytes_copied += blob.size();
+      HPCC_TRY(const SharedBytes blob, source.get_blob(digest));
+      stats.bytes_copied += blob->size();
       ++stats.blobs_copied;
-      HPCC_TRY(auto d, destination.push_blob(dest_user, project, std::move(blob)));
+      HPCC_TRY(auto d, destination.push_blob(dest_user, project, *blob));
       (void)d;
       return ok_unit();
     };

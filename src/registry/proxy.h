@@ -40,7 +40,9 @@ class PullThroughProxy {
   };
   struct BlobResult {
     SimTime done = 0;
-    Bytes blob;
+    /// The proxy's cached buffer, which is also the upstream's: a fetch
+    /// shares the bytes and copies none.
+    SharedBytes blob;
     bool cache_hit = false;
   };
 

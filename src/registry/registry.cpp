@@ -71,7 +71,10 @@ Result<crypto::Digest> OciRegistry::push_blob(const std::string& user,
   }
   if (!already && proj) proj->used_bytes += blob.size();
   ++pushes_;
-  return store_.blobs().put(std::move(blob));
+  // Stored under the digest computed above: one hash per pushed blob.
+  store_.blobs().put_with_digest(std::make_shared<const Bytes>(std::move(blob)),
+                                 digest);
+  return digest;
 }
 
 Result<crypto::Digest> OciRegistry::push_manifest(
@@ -96,9 +99,8 @@ Result<image::OciManifest> OciRegistry::get_manifest(
   return store_.resolve(ref);
 }
 
-Result<Bytes> OciRegistry::get_blob(const crypto::Digest& digest) const {
-  HPCC_TRY(const Bytes* blob, store_.blobs().get(digest));
-  return *blob;
+Result<SharedBytes> OciRegistry::get_blob(const crypto::Digest& digest) const {
+  return store_.blobs().get(digest);
 }
 
 bool OciRegistry::has_blob(const crypto::Digest& digest) const {

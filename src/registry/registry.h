@@ -83,7 +83,8 @@ class OciRegistry {
 
   // ----- data plane (pull)
   Result<image::OciManifest> get_manifest(const image::ImageReference& ref) const;
-  Result<Bytes> get_blob(const crypto::Digest& digest) const;
+  /// The stored buffer itself, shared: a pull copies no bytes.
+  Result<SharedBytes> get_blob(const crypto::Digest& digest) const;
   bool has_blob(const crypto::Digest& digest) const;
   Result<std::vector<std::string>> list_tags(const std::string& repo_key) const;
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -15,6 +16,10 @@ namespace hpcc {
 
 using Bytes = std::vector<std::uint8_t>;
 using BytesView = std::span<const std::uint8_t>;
+/// An immutable buffer shared by reference. A blob travels this way
+/// from a registry through a proxy into a node's store, so no hop
+/// copies its bytes.
+using SharedBytes = std::shared_ptr<const Bytes>;
 
 /// Copies a string's characters into a byte buffer (no encoding changes).
 inline Bytes to_bytes(std::string_view s) {

@@ -250,9 +250,10 @@ TEST(ConcurrentBlobStoreTest, RacingPutVerifiedAndGetOnOverlappingDigests) {
       for (std::size_t id = 0; id < kUnique; ++id) {
         if (t % 2 == 0) {
           // Writers: verified puts, including one deliberate mismatch.
-          auto r = store.put_verified(blobs[id], digests[(id + 1) % kUnique]);
+          const auto blob = std::make_shared<const Bytes>(blobs[id]);
+          auto r = store.put_verified(blob, digests[(id + 1) % kUnique]);
           if (!r.ok()) verify_failures.fetch_add(1);
-          auto ok = store.put_verified(blobs[id], digests[id]);
+          auto ok = store.put_verified(blob, digests[id]);
           EXPECT_TRUE(ok.ok());
         } else {
           // Readers: gets race the inserts; a hit must return intact

@@ -115,12 +115,13 @@ TEST(BlobStoreTest, DedupsIdenticalContent) {
 
 TEST(BlobStoreTest, PutVerifiedChecksDigest) {
   BlobStore store;
-  const Bytes blob = to_bytes("data");
-  EXPECT_TRUE(store.put_verified(blob, crypto::Digest::of(blob)).ok());
+  const auto blob = std::make_shared<const Bytes>(to_bytes("data"));
+  EXPECT_TRUE(store.put_verified(blob, crypto::Digest::of(*blob)).ok());
   const auto bad =
       store.put_verified(blob, crypto::Digest::of(std::string_view("other")));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().code(), ErrorCode::kIntegrity);
+  EXPECT_EQ(store.num_blobs(), 1u);
 }
 
 TEST(BlobStoreTest, CopyAndMoveKeepContentsAndCounters) {
@@ -366,6 +367,41 @@ TEST(SyntheticContentTest, CompressibleAndDeterministic) {
   EXPECT_EQ(x, y);
   const Bytes comp = vfs::lzss_compress(x);
   EXPECT_LT(comp.size(), x.size() * 3 / 4);  // visibly compressible
+}
+
+// Golden digests of the content, and of the generator's next draw, pin
+// the byte stream and the draw order. Every size but 0 ends inside a
+// vocabulary run.
+TEST(SyntheticContentTest, MatchesGoldenDigests) {
+  struct Case {
+    std::uint64_t seed;
+    std::uint64_t size;
+    const char* digest;
+    std::uint64_t next_draw;
+  };
+  const Case cases[] = {
+      {1, 0,
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+       12966619160104079557ull},
+      {1, 33,
+       "90cb2a7f2f297cefedcd9cbcff9093f7a6d15781311c8482dac3d6947aa8fbec",
+       1310552918490157286ull},
+      {7, 4096,
+       "41d54f6cf5c85a7bc9c808afbccfb29fbf0886d295d07a4862de51dae9f75ce4",
+       862528695949710581ull},
+      {42, 100003,
+       "c34d49a5fed289eb01979049290b83293fd767b869902e59c69abef3e57e18fd",
+       4051466458972735437ull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("seed " + std::to_string(c.seed) + " size " +
+                 std::to_string(c.size));
+    Rng rng(c.seed);
+    const Bytes content = synthetic_file_content(rng, c.size);
+    EXPECT_EQ(content.size(), c.size);
+    EXPECT_EQ(crypto::Digest::of(content).hex(), c.digest);
+    EXPECT_EQ(rng.next_u64(), c.next_draw);
+  }
 }
 
 // ------------------------------------------------------------ Conversions

@@ -91,7 +91,7 @@ TEST_F(RegistryFixture, PushPullRoundTrip) {
   ASSERT_TRUE(m.ok());
   const auto blob = reg.get_blob(m.value().layer_digests[0]);
   ASSERT_TRUE(blob.ok());
-  EXPECT_TRUE(crypto::verify_digest(blob.value(),
+  EXPECT_TRUE(crypto::verify_digest(*blob.value(),
                                     m.value().layer_digests[0]).ok());
 }
 
@@ -245,7 +245,7 @@ TEST_F(ClientFixture, LocalCacheSkipsLayers) {
   // The proxy leg skips held layers but always moves the config, and
   // neither reads it from the store nor stores it.
   const crypto::Digest& config = first.value().manifest.config_digest;
-  const std::uint64_t config_bytes = reg.get_blob(config).value().size();
+  const std::uint64_t config_bytes = reg.get_blob(config).value()->size();
   PullThroughProxy proxy("proxy.site", &reg);
   image::BlobStore via_proxy;
   const auto p1 =
@@ -282,6 +282,33 @@ TEST_F(ClientFixture, ProxyCachesAndServesFaster) {
   const SimTime cold_latency = cold.value().done - 0;
   const SimTime warm_latency = warm.value().done - cold.value().done;
   EXPECT_LT(warm_latency, cold_latency / 2);
+}
+
+// A layer travels from origin to proxy to node as one shared buffer: no
+// hop copies it.
+TEST_F(ClientFixture, LayersShareTheOriginsBuffer) {
+  const auto ref =
+      image::ImageReference::parse("upstream.example/base/tool:v1").value();
+  const crypto::Digest d = reg.get_manifest(ref).value().layer_digests.back();
+  const Bytes* origin = reg.get_blob(d).value().get();
+  PullThroughProxy proxy("proxy.site", &reg);
+  const auto miss = proxy.fetch_blob(0, d);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_FALSE(miss.value().cache_hit);
+  EXPECT_EQ(miss.value().blob.get(), origin);
+  const auto hit = proxy.fetch_blob(miss.value().done, d);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit.value().cache_hit);
+  EXPECT_EQ(hit.value().blob.get(), origin);
+
+  // A pull keeps that buffer in the node's store, and a copy of the store
+  // shares it.
+  RegistryClient client(&net, 1);
+  image::BlobStore local;
+  ASSERT_TRUE(client.pull_via_proxy(hit.value().done, proxy, ref, &local).ok());
+  EXPECT_EQ(local.get(d).value().get(), origin);
+  const image::BlobStore copy = local;
+  EXPECT_EQ(copy.get(d).value().get(), origin);
 }
 
 TEST_F(ClientFixture, ProxyAbsorbsUpstreamRateLimit) {

@@ -574,6 +574,29 @@ TEST(ResilFallback, DeadProxyStormIsSeedReproducible) {
 
 TEST(ResilFallback, HedgeWinsAgainstWarmSecondary) {
   PullSetup setup;
+  // A second image: PullSetup's layer, which each node store below
+  // already holds, plus a layer of its own.
+  image::OciManifest m = setup.reg.get_manifest(PullSetup::ref()).value();
+  {
+    vfs::MemFs fs;
+    (void)fs.mkdir("/opt", {}, true);
+    Rng rng(4);
+    (void)fs.write_file("/opt/extra",
+                        image::synthetic_file_content(rng, 256 << 10));
+    Bytes blob = vfs::Layer::from_fs(fs).serialize();
+    m.layer_sizes.push_back(blob.size());
+    m.layer_digests.push_back(
+        setup.reg.push_blob("ci", "base", std::move(blob)).value());
+  }
+  const auto ref =
+      image::ImageReference::parse("upstream.example/base/app:v2").value();
+  ASSERT_TRUE(setup.reg.push_manifest("ci", ref, m).ok());
+  const crypto::Digest& held = m.layer_digests[0];
+  image::BlobStore hedged_store;
+  image::BlobStore solo_store;
+  for (image::BlobStore* store : {&hedged_store, &solo_store})
+    store->put_with_digest(setup.reg.get_blob(held).value(), held);
+
   registry::PullThroughProxy primary("proxy-a.site", &setup.reg);
   registry::PullThroughProxy secondary("proxy-b.site", &setup.reg);
 
@@ -593,28 +616,53 @@ TEST(ResilFallback, HedgeWinsAgainstWarmSecondary) {
   primary.set_fault_injector(&inj);
 
   registry::RegistryClient warmer(&setup.net, 2);
-  ASSERT_TRUE(warmer.pull_via_proxy(0, secondary, PullSetup::ref()).ok());
+  ASSERT_TRUE(warmer.pull_via_proxy(0, secondary, ref).ok());
 
+  obs::Config metrics_on;
+  metrics_on.metrics = true;
+  obs::configure(metrics_on);
   registry::RegistryClient client(&setup.net, 1);
   client.set_hedge_policy(HedgePolicy::after(msec(5)));
-  const auto hedged = client.pull_with_fallback(
-      sec(1), primary, setup.reg, PullSetup::ref(), nullptr, &secondary);
+  const auto hedged = client.pull_with_fallback(sec(1), primary, setup.reg,
+                                                ref, &hedged_store, &secondary);
+  const std::uint64_t hashed =
+      obs::metrics().snapshot().counters.at("crypto.bytes_hashed");
+  obs::reset();
   ASSERT_TRUE(hedged.ok()) << hedged.error().to_string();
   EXPECT_EQ(client.hedges_launched(), 1u);
   EXPECT_EQ(client.hedges_won(), 1u);
+  // Only the winner is verified. The node hashes both legs' configs and
+  // the winning leg's layers; the primary proxy hashes what it admits.
+  const std::uint64_t config_bytes =
+      setup.reg.get_blob(m.config_digest).value()->size();
+  EXPECT_EQ(hashed, primary.cached_bytes() + 2 * config_bytes +
+                        m.layer_sizes[0] + m.layer_sizes[1]);
 
   // The slow primary alone would have finished strictly later.
   registry::RegistryClient unhedged(&setup.net, 3);
   FaultInjector inj2(plan);
   registry::PullThroughProxy primary2("proxy-a.site", &setup.reg);
   primary2.set_fault_injector(&inj2);
-  const auto solo =
-      unhedged.pull_with_fallback(sec(1), primary2, setup.reg, PullSetup::ref());
+  const auto solo = unhedged.pull_with_fallback(sec(1), primary2, setup.reg,
+                                                ref, &solo_store);
   ASSERT_TRUE(solo.ok());
+  EXPECT_EQ(solo.value().layers_skipped, 1u);
   EXPECT_LT(hedged.value().done, solo.value().done);
   // The loser charged no duplicate bytes: the hedged pull moved exactly
-  // what a straight secondary pull moves.
-  EXPECT_EQ(hedged.value().bytes_transferred, solo.value().bytes_transferred);
+  // what a straight secondary pull moves, which skips nothing.
+  EXPECT_EQ(hedged.value().bytes_transferred,
+            solo.value().bytes_transferred + m.layer_sizes[0]);
+
+  // The winner filled the node store with exactly the layer the primary
+  // fetched, so both stores end up alike.
+  EXPECT_EQ(hedged_store.num_blobs(), solo_store.num_blobs());
+  EXPECT_EQ(hedged_store.stored_bytes(), solo_store.stored_bytes());
+  EXPECT_EQ(hedged_store.logical_bytes(), solo_store.logical_bytes());
+  EXPECT_EQ(hedged_store.dedup_hits(), solo_store.dedup_hits());
+  const auto repeat =
+      client.pull_via_proxy(hedged.value().done, secondary, ref, &hedged_store);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(repeat.value().layers_skipped, m.layer_digests.size());
 }
 
 TEST(ResilFallback, FastPrimaryNeverLaunchesTheHedge) {

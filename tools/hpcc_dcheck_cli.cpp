@@ -303,11 +303,14 @@ std::string fleet_flash_crowd_once() {
 /// Partition flash crowd through the resilience layer (DESIGN.md §14):
 /// 64 nodes pull 8 images via two breaker-guarded proxies while a WAN
 /// partition window cuts the origin — clients fail over, proxies trip
-/// and shed, nodes re-attempt past the window. Everything runs on the
-/// single timed plane, so the counters and completion checksum must be
-/// a pure function of the configuration; the determinism audit checks
-/// exactly that.
-std::string partition_flash_crowd_once() {
+/// and shed, nodes re-attempt past the window. Each node finishes its
+/// pulls on the pool into its own blob store, and hedges its primary
+/// proxy against the secondary, which is warm on every other image, so
+/// hedges launch and some win. Everything timed runs on the single
+/// timed plane, so the counters, the stores' bytes and the completion
+/// checksum must be a pure function of the configuration; the
+/// determinism audit checks exactly that.
+std::string partition_flash_crowd_once(util::ThreadPool* pool) {
   sim::Network net(64);
   fault::FaultPlan plan;
   plan.seed = 21;
@@ -348,14 +351,20 @@ std::string partition_flash_crowd_once() {
     proxy->set_admission(fault::AdmissionConfig::standard(50.0));
   }
 
+  registry::RegistryClient warmer(&net, 0);
+  for (std::size_t i = 0; i < refs.size(); i += 2)
+    (void)warmer.pull_via_proxy(0, secondary, refs[i]);
+
   std::vector<registry::RegistryClient> clients;
+  std::vector<image::BlobStore> stores(64);
   clients.reserve(64);
   for (std::uint32_t n = 0; n < 64; ++n) {
-    clients.emplace_back(&net, n);
+    clients.emplace_back(&net, n, pool);
     auto rp = fault::RetryPolicy::standard(3);
     rp.total_budget = sec(4);
     clients.back().set_retry_policy(rp);
     clients.back().set_breaker_config(fault::BreakerConfig::standard());
+    clients.back().set_hedge_policy(fault::HedgePolicy::after(msec(20)));
   }
 
   // (time, node, attempt) min-heap: images are released across the 20s
@@ -376,7 +385,7 @@ std::string partition_flash_crowd_once() {
     const auto img = std::min<std::size_t>(
         refs.size() - 1, static_cast<std::size_t>((t * 8) / sec(20)));
     const auto pulled = client.pull_with_fallback(t, primary, origin,
-                                                 refs[img], nullptr,
+                                                 refs[img], &stores[n],
                                                  &secondary);
     if (pulled.ok()) {
       ++completions;
@@ -392,12 +401,27 @@ std::string partition_flash_crowd_once() {
   std::uint64_t trips = primary.origin_breaker().trips() +
                         secondary.origin_breaker().trips();
   std::uint64_t sheds = primary.shed_upstream() + secondary.shed_upstream();
-  std::uint64_t fallbacks = 0;
-  for (const auto& c : clients) fallbacks += c.proxy_fallbacks();
+  std::uint64_t fallbacks = 0, launched = 0, won = 0;
+  for (const auto& c : clients) {
+    fallbacks += c.proxy_fallbacks();
+    launched += c.hedges_launched();
+    won += c.hedges_won();
+  }
+  std::uint64_t stored = 0, logical = 0, dedup = 0;
+  for (const auto& s : stores) {
+    stored += s.stored_bytes();
+    logical += s.logical_bytes();
+    dedup += s.dedup_hits();
+  }
   return "completions=" + std::to_string(completions) +
          " trips=" + std::to_string(trips) +
          " sheds=" + std::to_string(sheds) +
          " fallbacks=" + std::to_string(fallbacks) +
+         " hedges_launched=" + std::to_string(launched) +
+         " hedges_won=" + std::to_string(won) +
+         " stored_bytes=" + std::to_string(stored) +
+         " logical_bytes=" + std::to_string(logical) +
+         " dedup_hits=" + std::to_string(dedup) +
          " wan_bytes=" + std::to_string(net.wan_bytes()) +
          " checksum=" + std::to_string(checksum);
 }
@@ -513,9 +537,11 @@ int run_sweep(const Options& opts) {
       opts.seed);
 
   // Resilience workload (§14): the breaker/failover/shedding path under
-  // a WAN partition window must be schedule-independent too.
+  // a WAN partition window, with hedged pulls finished on the pool, must
+  // be schedule-independent too.
   (void)dcheck::audit_determinism(
-      "partition-flash-crowd", [] { return partition_flash_crowd_once(); },
+      "partition-flash-crowd",
+      [&] { return partition_flash_crowd_once(&pool); },
       opts.seed);
 
   // Control-plane workload (§15): the closed-loop controller steering a
